@@ -16,7 +16,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -40,23 +40,18 @@ from .noise import (
     Evaluator,
     GaussianNoise,
     NoiseSpec,
+    Tolerances,
     UniformNoise,
     ensemble_average,
+    single_shot,
 )
 from .optimize import ObjectiveSpec, ObservableModel, optimize_amplitudes
-from .perturbation import (
-    amplitude_time_quadrature,
-    closed_form_amplitude,
-    transition_yield,
-)
-from .tdse import PropagationSpec, population, propagate
 
-DEFAULT_TOLERANCES = {
-    "tdse_rel_tol": 1e-10,
-    "tdse_abs_tol": 1e-12,
-    "time_quad_tol": 1e-9,
-    "closed_form_tol": 1e-7,
-}
+# not called here: bound so that perfbench/layers.py can wrap them in this module
+from .perturbation import amplitude_time_quadrature, closed_form_amplitude  # noqa: F401
+from .tdse import propagate  # noqa: F401
+
+DEFAULT_TOLERANCES = asdict(Tolerances())
 
 _RUN_TYPES = ("shot", "scan", "ensemble", "optimize")
 _EVALUATORS = {e.value: e for e in Evaluator}
@@ -89,6 +84,8 @@ class RunRecord:
     columns: tuple[str, ...]
     rows: list[tuple]
     timings: dict
+    # False only when an optimize run's simplex search did not converge
+    converged: bool = True
 
 
 def config_digest(raw: dict) -> str:
@@ -402,43 +399,15 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_once(config: ExperimentConfig, system: LadderSystem, fld: ControlField):
-    tol = config.tolerances
-    if config.evaluator is Evaluator.TDSE:
-        t0, t1 = fld.envelope.support()
-        spec = PropagationSpec(t0, t1, tol["tdse_rel_tol"], tol["tdse_abs_tol"])
-        state = propagate(system, fld, spec)
-        c = state.coeffs[config.target_index]
-        return population(state, config.target_index), c, "tdse"
-    if config.evaluator is Evaluator.PERTURB_TIME:
-        amp = amplitude_time_quadrature(
-            system, fld, rwa=True, tol=tol["time_quad_tol"]
-        )
-    else:
-        amp = closed_form_amplitude(system, fld, tol=tol["closed_form_tol"])
-    return (
-        transition_yield(amp, system, fld),
-        amp.value,
-        amp.method.value,
-    )
-
-
-def _field_with_common_detuning(config: ExperimentConfig, delta: float) -> ControlField:
-    wbar = transition_frequencies(config.system)
-    comps = tuple(
-        PulseComponent(c.amplitude, c.phase, w + delta)
-        for c, w in zip(config.field.components, wbar)
-    )
-    return ControlField(comps, config.field.envelope)
-
-
 def _scan_points(config: ExperimentConfig):
     """Yield (value, system, field) per grid point, rebuilt from the raw file."""
     param = config.run["parameter"]
     grid = [float(v) for v in config.run["grid"]]
     if param == COMMON_DETUNING_PARAMETER:
+        wbar = transition_frequencies(config.system)
         for value in grid:
-            yield value, config.system, _field_with_common_detuning(config, value)
+            fld = config.field.with_frequencies([w + value for w in wbar])
+            yield value, config.system, fld
         return
     for value in grid:
         raw = copy.deepcopy(config.raw)
@@ -452,38 +421,30 @@ def _scan_points(config: ExperimentConfig):
 
 
 def run_experiment(
-    config: ExperimentConfig, threads: int = 1, seed_override: int | None = None
+    config: ExperimentConfig, seed_override: int | None = None
 ) -> RunRecord:
     """Dispatch on the configured run type; rows are deterministic per seed."""
     rtype = config.run.get("type")
     seed = seed_override if seed_override is not None else config.run.get("seed", 0)
-    timings: dict[str, float] = {}
+    tolerances = Tolerances(**config.tolerances)
+    converged = True
     started = time.perf_counter()
 
     if rtype == "shot":
-        y, c, method = _evaluate_once(config, config.system, config.field)
+        y, c, method = single_shot(
+            config.system, config.field, config.evaluator, config.target_index, tolerances
+        )
         columns = ("yield", "amplitude_re", "amplitude_im", "method")
         rows = [(y, c.real, c.imag, method)]
 
     elif rtype == "scan":
-        points = list(_scan_points(config))
-        results = [None] * len(points)
-
-        def do_point(i):
-            value, system, fld = points[i]
-            y, c, method = _evaluate_once(config, system, fld)
-            results[i] = (value, y, c.real, c.imag, method)
-
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(do_point, range(len(points))))
-        else:
-            for i in range(len(points)):
-                do_point(i)
+        rows = []
+        for value, system, fld in _scan_points(config):
+            y, c, method = single_shot(
+                system, fld, config.evaluator, config.target_index, tolerances
+            )
+            rows.append((value, y, c.real, c.imag, method))
         columns = ("value", "yield", "amplitude_re", "amplitude_im", "method")
-        rows = results
 
     elif rtype == "ensemble":
         noise = config.noise or NoiseSpec.quiet(len(config.field.components))
@@ -495,9 +456,7 @@ def run_experiment(
             int(config.run["samples"]),
             int(seed),
             target_index=config.target_index,
-            rel_tol=config.tolerances["tdse_rel_tol"],
-            abs_tol=config.tolerances["tdse_abs_tol"],
-            threads=threads,
+            tolerances=tolerances,
         )
         columns = ("mean", "std_error", "samples", "seed", "clamp_events")
         rows = [(stats.mean, stats.std_error, stats.samples, stats.seed, stats.clamp_events)]
@@ -510,6 +469,7 @@ def run_experiment(
             ObservableModel(run.get("observable", "analytic")),
             mc_samples=int(run.get("mc_samples", 2000)),
             seed=int(seed),
+            tolerances=tolerances,
         )
         noise = config.noise or NoiseSpec.quiet(len(config.field.components))
         trace: list = []
@@ -539,13 +499,13 @@ def run_experiment(
             + result.amplitudes
             + (1, int(result.converged), result.condition_residual)
         )
-        timings["converged"] = float(result.converged)
+        converged = result.converged
 
     else:  # pragma: no cover - load_config rejects unknown types
         raise ConfigError([f"run.type: unknown type {rtype!r}"])
 
-    timings["total_s"] = time.perf_counter() - started
-    return RunRecord(config.digest, int(seed), tuple(columns), rows, timings)
+    timings = {"total_s": time.perf_counter() - started}
+    return RunRecord(config.digest, int(seed), tuple(columns), rows, timings, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +576,6 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--out", help="output path (overrides output.path)")
         p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("csv", "json"), dest="fmt")
     return parser
 
@@ -650,7 +609,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        record = run_experiment(config, threads=args.threads, seed_override=args.seed)
+        record = run_experiment(config, seed_override=args.seed)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -674,7 +633,7 @@ def main(argv=None) -> int:
     for phase, seconds in record.timings.items():
         print(f"timing {phase}: {seconds:.3f}", file=sys.stderr)
 
-    if args.command == "optimize" and record.timings.get("converged") == 0.0:
+    if not record.converged:
         print("optimizer did not converge", file=sys.stderr)
         return 4
     return 0

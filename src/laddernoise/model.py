@@ -220,15 +220,14 @@ class ControlField:
         )
         return ControlField(comps, self.envelope)
 
-
-def field_value(field: ControlField, t) -> float:
-    """E(t) = 2 s(t) sum_l A_l cos(omega_l t + theta_l)."""
-    return field.value(t)
-
-
-def field_spectrum(field: ControlField, omega) -> complex:
-    """f(omega) = sum_l A_l [e^{-i theta_l} S(w - w_l) + e^{i theta_l} S(w + w_l)]."""
-    return field.spectrum(omega)
+    def with_frequencies(self, frequencies) -> "ControlField":
+        if len(frequencies) != len(self.components):
+            raise ValueError("frequency count must match component count")
+        comps = tuple(
+            PulseComponent(c.amplitude, c.phase, float(w))
+            for w, c in zip(frequencies, self.components)
+        )
+        return ControlField(comps, self.envelope)
 
 
 def fluence(amplitudes) -> float:

@@ -2,10 +2,11 @@
 
 Each laboratory shot draws independent zero-mean offsets for the component
 amplitudes, phases, and frequencies; the observable is the ensemble average
-of the single-shot yield.  Sampling is deterministic and order-independent:
-shot i uses its own counter-based stream keyed by (seed, i), and the
-reduction is a fixed-order pairwise tree, so serial and parallel runs agree
-bit for bit.
+of the single-shot yield.  Every run reduces to :func:`single_shot`, the one
+place that dispatches on the evaluator.  Sampling is deterministic: shot i
+uses its own counter-based stream keyed by (seed, i), and the reduction is a
+fixed-order pairwise tree, so a fixed (seed, samples) always gives the same
+bits.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .model import (
     PulseComponent,
 )
 from .perturbation import (
+    _delay_grid,
     amplitude_time_quadrature,
     closed_form_amplitude,
     transition_yield,
@@ -196,27 +198,47 @@ class Evaluator(Enum):
     CLOSED_FORM = "closed-form"
 
 
-def _single_shot_yield(
+@dataclass(frozen=True)
+class Tolerances:
+    """Accuracy targets of a run, one pair for the propagator, one per quadrature."""
+
+    tdse_rel_tol: float = 1e-10
+    tdse_abs_tol: float = 1e-12
+    time_quad_tol: float = 1e-9
+    closed_form_tol: float = 1e-7
+
+
+def single_shot(
     system: LadderSystem,
     field: ControlField,
     evaluator: Evaluator,
     target_index: int,
-    rel_tol: float,
-    abs_tol: float,
-) -> float:
+    tolerances: Tolerances,
+) -> tuple[float, complex, str]:
+    """Yield, complex amplitude and method name of one shot of ``field``.
+
+    The amplitude is the target level's coefficient for the propagator and
+    the top-rung transition amplitude for the perturbative evaluators, which
+    only reach the top level.
+    """
     if evaluator is Evaluator.TDSE:
-        spec = default_propagation_spec(field, rel_tol, abs_tol)
-        return population(propagate(system, field, spec), target_index)
+        spec = default_propagation_spec(
+            field, tolerances.tdse_rel_tol, tolerances.tdse_abs_tol
+        )
+        state = propagate(system, field, spec)
+        return population(state, target_index), state.coeffs[target_index], "tdse"
     if target_index != system.n_transitions:
         raise ValueError(
             "perturbative evaluators only produce the top-level yield; use the "
             "tdse evaluator for intermediate targets"
         )
     if evaluator is Evaluator.PERTURB_TIME:
-        amp = amplitude_time_quadrature(system, field, rwa=True)
+        amp = amplitude_time_quadrature(
+            system, field, rwa=True, tol=tolerances.time_quad_tol
+        )
     else:
-        amp = closed_form_amplitude(system, field)
-    return transition_yield(amp, system, field)
+        amp = closed_form_amplitude(system, field, tol=tolerances.closed_form_tol)
+    return transition_yield(amp, system, field), amp.value, amp.method.value
 
 
 def ensemble_average(
@@ -227,15 +249,13 @@ def ensemble_average(
     samples: int,
     seed: int,
     target_index: int | None = None,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-    threads: int = 1,
+    tolerances: Tolerances = Tolerances(),
 ) -> EnsembleStats:
     """Monte Carlo noise average of the yield over ``samples`` shots.
 
-    Deterministic for fixed (seed, samples) regardless of ``threads``: each
-    shot draws from its own (seed, index) stream, yields are stored by index,
-    and the reduction is the fixed pairwise tree.
+    Deterministic for fixed (seed, samples): each shot draws from its own
+    (seed, index) stream, yields are stored by index, and the reduction is
+    the fixed pairwise tree.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -244,26 +264,12 @@ def ensemble_average(
 
     yields = np.empty(samples, dtype=float)
     clamp_counts = np.zeros(samples, dtype=int)
-
-    def evaluate(i: int):
+    for i in range(samples):
         try:
-            fld, clamp_counts[i] = sample_field(
-                nominal, noise, sample_stream(seed, i)
-            )
-            yields[i] = _single_shot_yield(
-                system, fld, evaluator, target_index, rel_tol, abs_tol
-            )
+            fld, clamp_counts[i] = sample_field(nominal, noise, sample_stream(seed, i))
+            yields[i] = single_shot(system, fld, evaluator, target_index, tolerances)[0]
         except Exception as exc:  # annotate with the failing sample
             raise EnsembleEvaluationError(i, exc) from exc
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(evaluate, range(samples)))
-    else:
-        for i in range(samples):
-            evaluate(i)
 
     mean = pairwise_sum(yields) / samples
     dev_sq = (yields - mean) ** 2
@@ -372,29 +378,19 @@ def frequency_noise_kernel(
 
 @lru_cache(maxsize=4)
 def _pair_grid(n: int, nodes: int):
-    """Grid over (delays, delays_conj) on [0,R]^(2(N-1)) with damping applied."""
-    from .perturbation import _damping_matrix, _truncation_radius
+    """Grid over (delays, delays_conj) on [0,R]^(2(N-1)) with damping applied.
 
-    radius = _truncation_radius(n)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x = radius * (x + 1.0) / 2.0
-    w = w * radius / 2.0
-    dims = 2 * (n - 1)
-    grids = np.meshgrid(*([x] * dims), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wt = np.ones(pts.shape[0])
-    for wg in np.meshgrid(*([w] * dims), indexing="ij"):
-        wt *= wg.ravel()
-    q = _damping_matrix(n)
-    tau = pts[:, : n - 1]
-    tau_p = pts[:, n - 1 :]
-    damping = np.einsum("ij,jk,ik->i", tau, q, tau) + np.einsum(
-        "ij,jk,ik->i", tau_p, q, tau_p
-    )
-    weighted = wt * np.exp(-damping / (4.0 * n))
-    tau.setflags(write=False)
-    weighted.setflags(write=False)
-    return tau, tau_p, weighted
+    The Cartesian square of the single-amplitude delay grid: the damping
+    factor of a pair is the product of the two delays' factors.
+    """
+    pts, weighted = _delay_grid(n, nodes)
+    m = pts.shape[0]
+    tau = np.repeat(pts, m, axis=0)
+    tau_p = np.tile(pts, (m, 1))
+    pair_weighted = np.outer(weighted, weighted).ravel()
+    for arr in (tau, tau_p, pair_weighted):
+        arr.setflags(write=False)
+    return tau, tau_p, pair_weighted
 
 
 def frequency_noise_average(

@@ -17,8 +17,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ControlField, LadderSystem, fluence
-from .noise import Evaluator, NoiseSpec, amplitude_noise_average, ensemble_average
+from .model import ControlField, LadderSystem, fluence, transition_frequencies
+from .noise import (
+    Evaluator,
+    NoiseSpec,
+    Tolerances,
+    amplitude_noise_average,
+    ensemble_average,
+)
 from .perturbation import closed_form_amplitude
 
 
@@ -37,6 +43,7 @@ class ObjectiveSpec:
     observable: ObservableModel = ObservableModel.ANALYTIC
     mc_samples: int = 2000
     seed: int = 0
+    tolerances: Tolerances = Tolerances()
 
     def __post_init__(self):
         if not 0.0 < self.target_yield < 1.0:
@@ -54,9 +61,11 @@ class OptimizationResult:
     condition_residual: float
 
 
-def coupling_magnitude(system: LadderSystem, field: ControlField) -> float:
+def coupling_magnitude(
+    system: LadderSystem, field: ControlField, tol: float = 1e-7
+) -> float:
     """|scaled amplitude * prod_k mu_k|, the amplitude-independent yield scale."""
-    amp = closed_form_amplitude(system, field)
+    amp = closed_form_amplitude(system, field, tol=tol)
     prod = 1.0
     for mu in system.dipoles:
         prod *= mu
@@ -76,7 +85,7 @@ def yield_model(
     objective stays deterministic).
     """
     if spec.observable is ObservableModel.ANALYTIC:
-        coupling = coupling_magnitude(system, field)
+        coupling = coupling_magnitude(system, field, spec.tolerances.closed_form_tol)
         variances = noise.amplitude_variances()
 
         def analytic(amps: np.ndarray) -> float:
@@ -92,7 +101,13 @@ def yield_model(
     def monte_carlo(amps: np.ndarray) -> float:
         shifted = field.with_amplitudes(tuple(float(a) for a in amps))
         stats = ensemble_average(
-            system, shifted, noise, evaluator, spec.mc_samples, spec.seed
+            system,
+            shifted,
+            noise,
+            evaluator,
+            spec.mc_samples,
+            spec.seed,
+            tolerances=spec.tolerances,
         )
         return stats.mean
 
@@ -273,26 +288,19 @@ def optimize_joint(
     machinery.  The objective landscape over detunings is multimodal in
     general, so treat results as a local refinement, not a global answer.
     """
-    from .model import PulseComponent, transition_frequencies
-
     wbar = transition_frequencies(system)
     n = len(wbar)
     if len(init_amplitudes) != n or len(init_detunings) != n:
         raise ValueError("need one initial amplitude and detuning per transition")
     model_spec = spec
 
-    def build_field(amps, deltas):
-        comps = tuple(
-            PulseComponent(float(a), c.phase, w + float(d))
-            for a, c, w, d in zip(amps, field.components, wbar, deltas)
-        )
-        return ControlField(comps, field.envelope)
-
     def f_joint(x: np.ndarray) -> float:
         u = np.maximum(x[:n], 0.0)
         deltas = x[n:]
         amps = np.sqrt(u)
-        shifted = build_field(amps, deltas)
+        shifted = field.with_amplitudes(amps).with_frequencies(
+            tuple(w + float(d) for w, d in zip(wbar, deltas))
+        )
         model = yield_model(model_spec, system, shifted, noise)
         val = (model(amps) - spec.target_yield) ** 2
         return val + spec.fluence_weight * float(np.sum(u))

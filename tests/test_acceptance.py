@@ -21,6 +21,7 @@ from laddernoise import (
     PropagationSpec,
     PulseComponent,
     RectangularEnvelope,
+    Tolerances,
     amplitude_resonant,
     amplitude_time_quadrature,
     closed_form_amplitude,
@@ -257,9 +258,7 @@ def test_06_phase_noise_nullity():
         Evaluator.TDSE,
         1000,
         seed=7,
-        rel_tol=1e-10,
-        abs_tol=1e-13,
-        threads=4,
+        tolerances=Tolerances(tdse_rel_tol=1e-10, tdse_abs_tol=1e-13),
     )
     z = abs(stats_tdse.mean - y_exact) / stats_tdse.std_error
     ok &= z <= 2.0

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import laddernoise.noise as noise_module
 from laddernoise import ConfigError
 from laddernoise.cli import (
     COMMON_DETUNING_PARAMETER,
@@ -191,7 +192,7 @@ class TestRunExperiment:
         assert at_2pi[0]["yield"] < 1e-24
         assert rows[0]["yield"] == pytest.approx(0.25, rel=1e-9)
 
-    def test_scan_plain_path_and_threads(self, tmp_path):
+    def test_scan_plain_path(self, tmp_path):
         cfg_raw = minimal_config(
             run={
                 "type": "scan",
@@ -200,10 +201,7 @@ class TestRunExperiment:
             }
         )
         cfg = load_config(write_config(tmp_path, cfg_raw))
-        serial = run_experiment(cfg, threads=1)
-        parallel = run_experiment(cfg, threads=4)
-        assert serial.rows == parallel.rows
-        ys = [r[1] for r in serial.rows]
+        ys = [r[1] for r in run_experiment(cfg).rows]
         assert ys[1] / ys[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_tdse_shot_with_intermediate_target(self, tmp_path):
@@ -262,6 +260,52 @@ class TestRunExperiment:
         assert row["mean"] == shot_yield  # bit-identical
         assert row["std_error"] < 1e-12
 
+    def test_ensemble_uses_configured_time_quad_tol(self, tmp_path):
+        # off resonance, a loose quadrature tolerance moves the yield in the
+        # 12th digit; a quiet ensemble must reproduce the shot at that tolerance
+        field = minimal_config()["field"]
+        field["components"][1]["frequency"] = 115.0
+        shot_raw = minimal_config(
+            field=field,
+            evaluator="perturb-time",
+            tolerances={"time_quad_tol": 1e-4},
+        )
+        shot = run_experiment(load_config(write_config(tmp_path, shot_raw)))
+        ens_raw = dict(shot_raw, run={"type": "ensemble", "samples": 2})
+        ens = run_experiment(load_config(write_config(tmp_path, ens_raw, "e.json")))
+        assert ens.rows[0][0] == shot.rows[0][0]  # bit-identical
+
+    def test_mc_optimizer_uses_configured_closed_form_tol(self, tmp_path, monkeypatch):
+        seen = []
+        real = noise_module.closed_form_amplitude
+
+        def spy(system, field, tol=1e-7):
+            seen.append(tol)
+            return real(system, field, tol=tol)
+
+        monkeypatch.setattr(noise_module, "closed_form_amplitude", spy)
+        cfg_raw = minimal_config(
+            noise={
+                "components": [
+                    {"amplitude": {"dist": "uniform", "half_width": 0.1}},
+                    {},
+                ]
+            },
+            tolerances={"closed_form_tol": 1e-5},
+            run={
+                "type": "optimize",
+                "target_yield": 0.1,
+                "fluence_weight": 1e-3,
+                "observable": "mc",
+                "mc_samples": 4,
+                "init": [0.5, 0.5],
+                "max_evals": 6,
+                "seed": 3,
+            },
+        )
+        run_experiment(load_config(write_config(tmp_path, cfg_raw)))
+        assert seen and set(seen) == {1e-5}
+
     def test_optimize_rows_trace_and_final(self, tmp_path):
         cfg = load_config(os.path.join(DOCS, "noise_cooperation_optimize.json"))
         record = run_experiment(cfg)
@@ -292,6 +336,13 @@ class TestMain:
         assert self.run_main(["validate", "--config", path]) == 2
         assert "strictly increasing" in capsys.readouterr().err
 
+    def test_threads_flag_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, minimal_config())
+        out = str(tmp_path / "o.csv")
+        with pytest.raises(SystemExit) as info:
+            self.run_main(["shot", "--config", path, "--out", out, "--threads", "4"])
+        assert info.value.code == 2
+
     def test_subcommand_run_type_mismatch(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_config())
         out = str(tmp_path / "o.csv")
@@ -312,7 +363,7 @@ class TestMain:
         assert self.run_main(["ensemble", "--config", path, "--out", out]) == 3
         assert "sample" in capsys.readouterr().err
 
-    def test_optimizer_non_convergence_exit_code(self, tmp_path):
+    def test_optimizer_non_convergence_exit_code(self, tmp_path, capsys):
         cfg = minimal_config(
             run={
                 "type": "optimize",
@@ -326,6 +377,7 @@ class TestMain:
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "o.csv")
         assert self.run_main(["optimize", "--config", path, "--out", out]) == 4
+        assert "timing converged" not in capsys.readouterr().err
         # the best point found is still written
         body = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
         assert body[0].startswith("eval_index")

@@ -176,14 +176,12 @@ class TestEnsembleAverage:
         ratio = stats.mean / noiseless
         assert abs(ratio - 1.03**2) < 3 * stats.std_error / noiseless
 
-    def test_deterministic_under_threads(self):
+    def test_same_seed_is_deterministic(self):
         system = ladder2()
         f = resonant_field(system, (1.0, 1.0), GaussianEnvelope(1.0))
         noise = NoiseSpec.amplitude_uniform((0.2, 0.2))
         a = ensemble_average(system, f, noise, Evaluator.CLOSED_FORM, 500, seed=5)
-        b = ensemble_average(
-            system, f, noise, Evaluator.CLOSED_FORM, 500, seed=5, threads=4
-        )
+        b = ensemble_average(system, f, noise, Evaluator.CLOSED_FORM, 500, seed=5)
         assert a == b
 
     def test_evaluator_failure_carries_sample_index(self):
