@@ -16,7 +16,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -51,14 +51,25 @@ from .optimize import ObjectiveSpec, ObservableModel, optimize_amplitudes
 from .perturbation import amplitude_time_quadrature, closed_form_amplitude  # noqa: F401
 from .tdse import propagate  # noqa: F401
 
-DEFAULT_TOLERANCES = asdict(Tolerances())
-
 _RUN_TYPES = ("shot", "scan", "ensemble", "optimize")
-_EVALUATORS = {e.value: e for e in Evaluator}
 
 # common-detuning scan: sets every component frequency to its transition
 # frequency plus the scanned value
 COMMON_DETUNING_PARAMETER = "detuning.common"
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """The run block, converted; fields its type does not use keep their defaults."""
+
+    type: str
+    seed: int = 0
+    parameter: str = ""
+    grid: tuple[float, ...] = ()
+    samples: int = 0
+    init: tuple[float, ...] = ()
+    max_evals: int = 100_000
+    objective: ObjectiveSpec | None = None
 
 
 @dataclass
@@ -67,13 +78,13 @@ class ExperimentConfig:
     digest: str
     system: LadderSystem
     field: ControlField
-    noise: NoiseSpec | None
+    noise: NoiseSpec
     evaluator: Evaluator
     target_index: int
-    run: dict
+    run: RunSpec
     output_path: str | None
     output_format: str
-    tolerances: dict
+    tolerances: Tolerances
     warnings: list[str] = dataclass_field(default_factory=list)
 
 
@@ -98,13 +109,34 @@ def config_digest(raw: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _check_numbers(seq, what, problems) -> bool:
+def _guard(problems: list[str], where: str, build, *args):
+    """``build(*args)``, or None with its failure listed as a violation at ``where``.
+
+    Wraps conversion and construction only, never evaluation, so that
+    numerical failures keep their own exit code.
+    """
     try:
-        [float(x) for x in seq]
-        return True
-    except (TypeError, ValueError):
-        problems.append(f"{what} must be a list of numbers")
-        return False
+        return build(*args)
+    except KeyError as exc:
+        problems.append(f"{where}: missing {exc}")
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        problems.append(f"{where}: {exc}")
+    return None
+
+
+def _floats(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"need a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
+def _integer(value, least: int | None = None) -> int:
+    """A JSON integer; int() would also take "7", 7.9 and true."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"need an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"need an integer >= {least}, got {value}")
+    return value
 
 
 def _build_system(raw, problems) -> LadderSystem | None:
@@ -112,45 +144,36 @@ def _build_system(raw, problems) -> LadderSystem | None:
     if not isinstance(sys_raw, dict):
         problems.append("system: missing or not an object")
         return None
-    energies = sys_raw.get("energies", [])
-    dipoles = sys_raw.get("dipoles", [])
-    ok = _check_numbers(energies, "system.energies", problems)
-    ok &= _check_numbers(dipoles, "system.dipoles", problems)
-    if not ok:
+    energies = _guard(problems, "system.energies", _floats, sys_raw.get("energies"))
+    dipoles = _guard(problems, "system.dipoles", _floats, sys_raw.get("dipoles"))
+    if energies is None or dipoles is None:
         return None
-    if len(energies) < 2:
-        problems.append("system.energies: ladder needs at least two levels")
-        return None
+    # listed rule by rule: the constructor stops at the first broken one
+    before = len(problems)
     if any(b <= a for a, b in zip(energies, energies[1:])):
         problems.append("system.energies: energies must be strictly increasing")
-    if len(dipoles) != len(energies) - 1:
-        problems.append("system.dipoles: need exactly one dipole per adjacent level pair")
     if any(m == 0 for m in dipoles):
         problems.append("system.dipoles: dipoles must all be nonzero")
-    try:
-        return LadderSystem(tuple(energies), tuple(dipoles))
-    except ValueError:
+    if len(problems) > before:
         return None
+    return _guard(problems, "system", LadderSystem, energies, dipoles)
 
 
-def _build_envelope(raw_env, problems):
-    if not isinstance(raw_env, dict) or "kind" not in raw_env:
-        problems.append("field.envelope: missing or lacks 'kind'")
-        return None
-    kind = raw_env["kind"]
-    try:
-        if kind == "gaussian":
-            return GaussianEnvelope(
-                float(raw_env["tau"]),
-                float(raw_env.get("truncation_halfwidths", 8.0)),
-            )
-        if kind == "rectangular":
-            return RectangularEnvelope(float(raw_env["duration"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        problems.append(f"field.envelope: {exc}")
-        return None
-    problems.append(f"field.envelope.kind: unknown kind {kind!r}")
-    return None
+def _envelope(env) -> GaussianEnvelope | RectangularEnvelope:
+    kind = env["kind"]
+    if kind == "gaussian":
+        return GaussianEnvelope(
+            float(env["tau"]), float(env.get("truncation_halfwidths", 8.0))
+        )
+    if kind == "rectangular":
+        return RectangularEnvelope(float(env["duration"]))
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def _component(c) -> PulseComponent:
+    return PulseComponent(
+        float(c["amplitude"]), float(c.get("phase", 0.0)), float(c["frequency"])
+    )
 
 
 def _build_field(raw, problems) -> ControlField | None:
@@ -158,67 +181,59 @@ def _build_field(raw, problems) -> ControlField | None:
     if not isinstance(fld, dict):
         problems.append("field: missing or not an object")
         return None
-    env = _build_envelope(fld.get("envelope"), problems)
+    env = _guard(problems, "field.envelope", _envelope, fld.get("envelope", {}))
     comps_raw = fld.get("components")
     if not isinstance(comps_raw, list) or not comps_raw:
         problems.append("field.components: need a nonempty list")
         return None
-    comps = []
-    for i, c in enumerate(comps_raw):
-        try:
-            comps.append(
-                PulseComponent(
-                    float(c["amplitude"]),
-                    float(c.get("phase", 0.0)),
-                    float(c["frequency"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"field.components[{i}]: {exc}")
-    if env is None or len(comps) != len(comps_raw):
+    comps = [
+        _guard(problems, f"field.components[{i}]", _component, c)
+        for i, c in enumerate(comps_raw)
+    ]
+    if env is None or any(c is None for c in comps):
         return None
     return ControlField(tuple(comps), env)
 
 
-def _build_distribution(raw_dist, where, problems):
+def _distribution(raw_dist):
     if raw_dist is None:
         return None
-    try:
-        kind = raw_dist["dist"]
-        if kind == "uniform":
-            return UniformNoise(float(raw_dist["half_width"]))
-        if kind == "gaussian":
-            return GaussianNoise(float(raw_dist["std"]))
-        problems.append(f"{where}: unknown distribution {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        problems.append(f"{where}: {exc}")
-    return None
+    kind = raw_dist["dist"]
+    if kind == "uniform":
+        return UniformNoise(float(raw_dist["half_width"]))
+    if kind == "gaussian":
+        return GaussianNoise(float(raw_dist["std"]))
+    raise ValueError(f"unknown distribution {kind!r}")
+
+
+def _component_noise(c) -> ComponentNoise:
+    return ComponentNoise(
+        **{key: _distribution(c.get(key)) for key in ("amplitude", "phase", "frequency")}
+    )
 
 
 def _build_noise(raw, n_components, problems) -> NoiseSpec | None:
     noise_raw = raw.get("noise")
     if noise_raw is None:
-        return None
-    comps_raw = noise_raw.get("components")
+        return NoiseSpec.quiet(n_components)
+    comps_raw = noise_raw.get("components") if isinstance(noise_raw, dict) else None
     if not isinstance(comps_raw, list) or len(comps_raw) != n_components:
         problems.append("noise.components: must list one entry per field component")
         return None
-    comps = []
-    for i, c in enumerate(comps_raw):
-        comps.append(
-            ComponentNoise(
-                amplitude=_build_distribution(
-                    c.get("amplitude"), f"noise.components[{i}].amplitude", problems
-                ),
-                phase=_build_distribution(
-                    c.get("phase"), f"noise.components[{i}].phase", problems
-                ),
-                frequency=_build_distribution(
-                    c.get("frequency"), f"noise.components[{i}].frequency", problems
-                ),
-            )
-        )
+    comps = [
+        _guard(problems, f"noise.components[{i}]", _component_noise, c)
+        for i, c in enumerate(comps_raw)
+    ]
+    if any(c is None for c in comps):
+        return None
     return NoiseSpec(tuple(comps))
+
+
+def _output(out) -> tuple[str | None, str]:
+    path, fmt = out.get("path"), out.get("format", "csv")
+    if not isinstance(path, (str, type(None))) or fmt not in ("csv", "json"):
+        raise ValueError(f"need a string path and format 'csv' or 'json', got {out!r}")
+    return path, fmt
 
 
 _PATH_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\[(\d+)\])?$")
@@ -239,69 +254,68 @@ def _resolve_path(raw: dict, path: str):
 
 
 def _assign_path(raw: dict, path: str, value) -> None:
-    parts = path.split(".")
-    node = raw
-    for part in parts[:-1]:
-        m = _PATH_TOKEN.match(part)
-        key, idx = m.group(1), m.group(2)
-        node = node[key]
-        if idx is not None:
-            node = node[int(idx)]
-    m = _PATH_TOKEN.match(parts[-1])
-    key, idx = m.group(1), m.group(2)
+    parent, _, last = path.rpartition(".")
+    node = _resolve_path(raw, parent) if parent else raw
+    key, idx = _PATH_TOKEN.match(last).groups()
     if idx is None:
         node[key] = value
     else:
         node[key][int(idx)] = value
 
 
-def _validate_run(raw, cfg_noise_active, problems) -> dict:
+def _build_run(raw, fld, noise, tolerances, problems) -> RunSpec | None:
     run = raw.get("run")
     if not isinstance(run, dict) or run.get("type") not in _RUN_TYPES:
         problems.append(f"run.type: must be one of {_RUN_TYPES}")
-        return {}
+        return None
     rtype = run["type"]
+    observable = run.get("observable", "analytic")
+    sampled = rtype == "ensemble" or (rtype == "optimize" and observable != "analytic")
+    if noise is not None and noise.active and sampled and "seed" not in run:
+        problems.append("run.seed: required whenever noise is active")
+    seed = _guard(problems, "run.seed", _integer, run.get("seed", 0), 0)
     if rtype == "scan":
-        grid = run.get("grid")
-        if not isinstance(grid, list) or len(grid) < 2:
-            problems.append("run.grid: scans need a grid of length >= 2")
-        else:
-            _check_numbers(grid, "run.grid", problems)
         param = run.get("parameter")
         if param != COMMON_DETUNING_PARAMETER:
             try:
-                _resolve_path(raw, str(param))
-            except (KeyError, IndexError, TypeError):
+                _resolve_path(raw, param)
+            except (AttributeError, KeyError, IndexError, TypeError):
                 problems.append(f"run.parameter: path {param!r} does not exist")
+        grid = _guard(problems, "run.grid", _floats, run.get("grid"))
+        if grid is not None and len(grid) < 2:
+            problems.append("run.grid: scans need a grid of length >= 2")
+        return RunSpec(rtype, seed, parameter=param, grid=grid)
     if rtype == "ensemble":
-        if not isinstance(run.get("samples"), int) or run["samples"] < 2:
-            problems.append("run.samples: need an integer >= 2")
-        if cfg_noise_active and run.get("seed") is None:
-            problems.append("run.seed: required whenever noise is active")
+        samples = _guard(problems, "run.samples", _integer, run.get("samples"), 2)
+        return RunSpec(rtype, seed, samples=samples)
     if rtype == "optimize":
-        try:
-            ObjectiveSpec(
-                float(run.get("target_yield", -1)),
-                float(run.get("fluence_weight", -1)),
-                ObservableModel(run.get("observable", "analytic")),
-            )
-        except ValueError as exc:
-            problems.append(f"run: {exc}")
-        if not isinstance(run.get("init"), list) or not run["init"]:
-            problems.append("run.init: need a list of initial amplitudes")
-        else:
-            _check_numbers(run["init"], "run.init", problems)
-        if (
-            cfg_noise_active
-            and run.get("observable", "analytic") != "analytic"
-            and run.get("seed") is None
-        ):
-            problems.append("run.seed: required whenever noise is active")
-    return run
+        init = _guard(problems, "run.init", _floats, run.get("init"))
+        if init is not None and fld is not None and len(init) != len(fld.components):
+            problems.append("run.init: need one initial amplitude per field component")
+        max_evals = _guard(
+            problems, "run.max_evals", _integer, run.get("max_evals", 100_000), 0
+        )
+        objective = _guard(
+            problems,
+            "run",
+            lambda: ObjectiveSpec(
+                float(run["target_yield"]),
+                float(run["fluence_weight"]),
+                ObservableModel(observable),
+                mc_samples=_integer(run.get("mc_samples", 2000)),
+                seed=seed,
+                tolerances=tolerances,
+            ),
+        )
+        return RunSpec(rtype, seed, init=init, max_evals=max_evals, objective=objective)
+    return RunSpec(rtype, seed)
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate the experiment file; lists every violation found."""
+    """Parse the experiment file and build every value in it once.
+
+    Lists every violation found, not just the first.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -311,6 +325,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(
             [f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from None
+    if not isinstance(raw, dict):
+        raise ConfigError(["the top level must be an object"])
 
     problems: list[str] = []
     warnings_list: list[str] = []
@@ -319,65 +335,50 @@ def load_config(path: str) -> ExperimentConfig:
     noise = (
         _build_noise(raw, len(fld.components), problems) if fld is not None else None
     )
-    noise_active = noise is not None and noise.active
+    evaluator = _guard(
+        problems, "evaluator", Evaluator, raw.get("evaluator", "closed-form")
+    )
+    tolerances = _guard(
+        problems, "tolerances", lambda: Tolerances(**(raw.get("tolerances") or {}))
+    )
+    output = _guard(problems, "output", _output, raw.get("output") or {})
 
-    evaluator_name = raw.get("evaluator", "closed-form")
-    evaluator = _EVALUATORS.get(evaluator_name)
-    if evaluator is None:
-        problems.append(f"evaluator: must be one of {sorted(_EVALUATORS)}")
+    top = system.n_transitions if system is not None else 0
+    target_index = _guard(problems, "target", _integer, raw.get("target", top), 0)
+    if system is not None and target_index is not None:
+        if target_index > top:
+            problems.append("target: index out of range for this ladder")
+        elif target_index != top and evaluator is not Evaluator.TDSE:
+            problems.append("target: perturbative evaluators only produce the top level")
 
-    if system is not None and fld is not None and evaluator is not Evaluator.TDSE:
-        if len(fld.components) != system.n_transitions:
+    run = _build_run(raw, fld, noise, tolerances, problems)
+
+    if system is not None and fld is not None and len(fld.components) != top:
+        if evaluator is not Evaluator.TDSE:
             problems.append(
                 "evaluator: closed-form and perturb-time require one field "
                 "component per transition (M = N); only tdse accepts M != N"
             )
-
-    target = raw.get("target")
-    target_index = (
-        int(target)
-        if target is not None
-        else (system.n_transitions if system is not None else 0)
-    )
-    if system is not None and not 0 <= target_index <= system.n_transitions:
-        problems.append("target: index out of range for this ladder")
-    if (
-        system is not None
-        and evaluator is not Evaluator.TDSE
-        and target_index != system.n_transitions
-    ):
-        problems.append("target: perturbative evaluators only produce the top level")
-
-    run = _validate_run(raw, noise_active, problems)
-
-    output = raw.get("output", {}) or {}
-    out_format = output.get("format", "csv")
-    if out_format not in ("csv", "json"):
-        problems.append("output.format: must be 'csv' or 'json'")
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in (raw.get("tolerances") or {}).items():
-        if key not in DEFAULT_TOLERANCES:
-            problems.append(f"tolerances.{key}: unknown tolerance")
-        else:
-            tolerances[key] = float(val)
+        elif run is not None and run.objective is not None:
+            if run.objective.observable is not ObservableModel.TDSE_MC:
+                problems.append("run.observable: only tdse-mc accepts M != N")
 
     if problems:
         raise ConfigError(problems)
 
     # advisory checks that load successfully but are worth flagging
-    if noise is not None:
-        for i, (comp, cn) in enumerate(zip(fld.components, noise.components)):
-            if (
-                isinstance(cn.amplitude, UniformNoise)
-                and cn.amplitude.half_width > comp.amplitude
-            ):
-                warnings_list.append(
-                    f"noise.components[{i}]: amplitude noise half-width "
-                    f"{cn.amplitude.half_width:g} exceeds the nominal amplitude "
-                    f"{comp.amplitude:g}; negative draws will be clamped to zero"
-                )
+    for i, (comp, cn) in enumerate(zip(fld.components, noise.components)):
+        if (
+            isinstance(cn.amplitude, UniformNoise)
+            and cn.amplitude.half_width > comp.amplitude
+        ):
+            warnings_list.append(
+                f"noise.components[{i}]: amplitude noise half-width "
+                f"{cn.amplitude.half_width:g} exceeds the nominal amplitude "
+                f"{comp.amplitude:g}; negative draws will be clamped to zero"
+            )
 
+    output_path, output_format = output
     return ExperimentConfig(
         raw=raw,
         digest=config_digest(raw),
@@ -387,8 +388,8 @@ def load_config(path: str) -> ExperimentConfig:
         evaluator=evaluator,
         target_index=target_index,
         run=run,
-        output_path=output.get("path"),
-        output_format=out_format,
+        output_path=output_path,
+        output_format=output_format,
         tolerances=tolerances,
         warnings=warnings_list,
     )
@@ -401,21 +402,21 @@ def load_config(path: str) -> ExperimentConfig:
 
 def _scan_points(config: ExperimentConfig):
     """Yield (value, system, field) per grid point, rebuilt from the raw file."""
-    param = config.run["parameter"]
-    grid = [float(v) for v in config.run["grid"]]
-    if param == COMMON_DETUNING_PARAMETER:
-        wbar = transition_frequencies(config.system)
-        for value in grid:
-            fld = config.field.with_frequencies([w + value for w in wbar])
-            yield value, config.system, fld
-        return
-    for value in grid:
-        raw = copy.deepcopy(config.raw)
-        _assign_path(raw, param, value)
+    param = config.run.parameter
+    wbar = transition_frequencies(config.system)
+    for value in config.run.grid:
         problems: list[str] = []
-        system = _build_system(raw, problems)
-        fld = _build_field(raw, problems)
-        if system is None or fld is None:
+        if param == COMMON_DETUNING_PARAMETER:
+            system = config.system
+            fld = _guard(
+                problems, "field", config.field.with_frequencies, [w + value for w in wbar]
+            )
+        else:
+            raw = copy.deepcopy(config.raw)
+            _guard(problems, "run.parameter", _assign_path, raw, param, value)
+            system = _build_system(raw, problems)
+            fld = _build_field(raw, problems)
+        if problems:
             raise ConfigError([f"scan point {value!r}: " + "; ".join(problems)])
         yield value, system, fld
 
@@ -424,20 +425,21 @@ def run_experiment(
     config: ExperimentConfig, seed_override: int | None = None
 ) -> RunRecord:
     """Dispatch on the configured run type; rows are deterministic per seed."""
-    rtype = config.run.get("type")
-    seed = seed_override if seed_override is not None else config.run.get("seed", 0)
-    tolerances = Tolerances(**config.tolerances)
+    run = config.run
+    if seed_override is not None:
+        run = replace(run, seed=seed_override)
+    tolerances = config.tolerances
     converged = True
     started = time.perf_counter()
 
-    if rtype == "shot":
+    if run.type == "shot":
         y, c, method = single_shot(
             config.system, config.field, config.evaluator, config.target_index, tolerances
         )
         columns = ("yield", "amplitude_re", "amplitude_im", "method")
         rows = [(y, c.real, c.imag, method)]
 
-    elif rtype == "scan":
+    elif run.type == "scan":
         rows = []
         for value, system, fld in _scan_points(config):
             y, c, method = single_shot(
@@ -446,40 +448,29 @@ def run_experiment(
             rows.append((value, y, c.real, c.imag, method))
         columns = ("value", "yield", "amplitude_re", "amplitude_im", "method")
 
-    elif rtype == "ensemble":
-        noise = config.noise or NoiseSpec.quiet(len(config.field.components))
+    elif run.type == "ensemble":
         stats = ensemble_average(
             config.system,
             config.field,
-            noise,
+            config.noise,
             config.evaluator,
-            int(config.run["samples"]),
-            int(seed),
+            run.samples,
+            run.seed,
             target_index=config.target_index,
             tolerances=tolerances,
         )
         columns = ("mean", "std_error", "samples", "seed", "clamp_events")
         rows = [(stats.mean, stats.std_error, stats.samples, stats.seed, stats.clamp_events)]
 
-    elif rtype == "optimize":
-        run = config.run
-        spec = ObjectiveSpec(
-            float(run["target_yield"]),
-            float(run["fluence_weight"]),
-            ObservableModel(run.get("observable", "analytic")),
-            mc_samples=int(run.get("mc_samples", 2000)),
-            seed=int(seed),
-            tolerances=tolerances,
-        )
-        noise = config.noise or NoiseSpec.quiet(len(config.field.components))
+    elif run.type == "optimize":
         trace: list = []
         result = optimize_amplitudes(
-            spec,
+            replace(run.objective, seed=run.seed),
             config.system,
             config.field,
-            noise,
-            [float(a) for a in run["init"]],
-            max_evals=int(run.get("max_evals", 100_000)),
+            config.noise,
+            run.init,
+            max_evals=run.max_evals,
             trace=trace,
         )
         n_amp = len(config.field.components)
@@ -502,10 +493,10 @@ def run_experiment(
         converged = result.converged
 
     else:  # pragma: no cover - load_config rejects unknown types
-        raise ConfigError([f"run.type: unknown type {rtype!r}"])
+        raise ConfigError([f"run.type: unknown type {run.type!r}"])
 
     timings = {"total_s": time.perf_counter() - started}
-    return RunRecord(config.digest, int(seed), tuple(columns), rows, timings, converged)
+    return RunRecord(config.digest, run.seed, tuple(columns), rows, timings, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +519,7 @@ def _metadata(config: ExperimentConfig, record: RunRecord, reproduce: str) -> di
         "config_digest": record.config_digest,
         "seed": record.seed,
         "version": __version__,
-        "tolerances": config.tolerances,
+        "tolerances": asdict(config.tolerances),
         "reproduce": reproduce,
     }
 
@@ -594,9 +585,9 @@ def main(argv=None) -> int:
         print(f"OK {config.digest}")
         return 0
 
-    if config.run.get("type") != args.command:
+    if config.run.type != args.command:
         print(
-            f"config run.type is {config.run.get('type')!r} but the "
+            f"config run.type is {config.run.type!r} but the "
             f"{args.command!r} subcommand was invoked",
             file=sys.stderr,
         )
@@ -625,10 +616,14 @@ def main(argv=None) -> int:
         f"laddernoise {args.command} --config {args.config} "
         f"--seed {record.seed} --out {out_path} --format {out_format}"
     )
-    if out_format == "csv":
-        write_csv(out_path, config, record, reproduce)
-    else:
-        write_json(out_path, config, record, reproduce)
+    try:
+        if out_format == "csv":
+            write_csv(out_path, config, record, reproduce)
+        else:
+            write_json(out_path, config, record, reproduce)
+    except OSError as exc:
+        print(f"cannot write the output: {exc}", file=sys.stderr)
+        return 2
     print(reproduce)
     for phase, seconds in record.timings.items():
         print(f"timing {phase}: {seconds:.3f}", file=sys.stderr)

@@ -244,21 +244,12 @@ class Detunings:
     """
 
     deltas: tuple[float, ...]
-    cumulants: tuple[float, ...] = field(default=())
+    cumulants: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         deltas = tuple(float(d) for d in self.deltas)
         object.__setattr__(self, "deltas", deltas)
-        rebuilt = tuple(itertools.accumulate(deltas))
-        if not self.cumulants:
-            object.__setattr__(self, "cumulants", rebuilt)
-        else:
-            cums = tuple(float(c) for c in self.cumulants)
-            object.__setattr__(self, "cumulants", cums)
-            if len(cums) != len(deltas):
-                raise ValueError("cumulants length must match deltas length")
-            if any(abs(a - b) > 1e-12 for a, b in zip(rebuilt, cums)):
-                raise ValueError("cumulants inconsistent with deltas")
+        object.__setattr__(self, "cumulants", tuple(itertools.accumulate(deltas)))
 
     @classmethod
     def from_deltas(cls, deltas) -> "Detunings":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
 
@@ -206,6 +206,14 @@ class Tolerances:
     tdse_abs_tol: float = 1e-12
     time_quad_tol: float = 1e-9
     closed_form_tol: float = 1e-7
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, float) and 0.0 < value <= 1e-2):
+                raise ValueError(
+                    f"{f.name} must be a number in (0, 1e-2], got {value!r}"
+                )
 
 
 def single_shot(

@@ -50,6 +50,8 @@ class ObjectiveSpec:
             raise ValueError("target_yield must lie in (0, 1)")
         if not self.fluence_weight > 0.0:
             raise ValueError("fluence_weight must be positive")
+        if self.mc_samples < 2:
+            raise ValueError("mc_samples must be at least 2")
 
 
 @dataclass(frozen=True)

@@ -226,12 +226,16 @@ def amplitude_resonant(
             f"detunings are not equal (spread {spread:.3e}); use the Gaussian "
             "closed form or the time-domain quadrature"
         )
-    n = det.n
-    s_val = complex(field.envelope.spectrum(-mean))
-    scaled = (1j) ** n * s_val**n / math.factorial(n)
+    scaled = _resonant_scaled(field, mean, det.n)
     return TransitionAmplitude.from_scaled(
         scaled, system, field, AmplitudeMethod.RESONANT_CLOSED_FORM
     )
+
+
+def _resonant_scaled(field: ControlField, mean: float, n: int) -> complex:
+    """Equal-detuning scaled amplitude i^N S(-mean)^N / N!."""
+    s_val = complex(field.envelope.spectrum(-mean))
+    return (1j) ** n * s_val**n / math.factorial(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,10 +261,6 @@ class GaussianKernel:
             k * total - n * detunings.cumulants[k - 1] for k in range(1, n)
         )
         return cls(n, freqs, _damping_matrix(n))
-
-    def damping(self, delays: np.ndarray) -> np.ndarray:
-        """Quadratic form value at each row of ``delays`` (shape (m, N-1))."""
-        return np.einsum("ij,jk,ik->i", delays, self.quad_matrix, delays)
 
 
 @lru_cache(maxsize=None)
@@ -311,10 +311,6 @@ _NODE_LADDERS = {
 }
 
 
-def _node_ladder(n: int):
-    return _NODE_LADDERS[n]
-
-
 def scaled_amplitude_gaussian(
     detunings: Detunings,
     envelope: GaussianEnvelope,
@@ -348,7 +344,7 @@ def scaled_amplitude_gaussian(
     prev = None
     result = None
     last_diff = math.inf
-    for nodes in _node_ladder(n):
+    for nodes in _NODE_LADDERS[n]:
         pts, weighted = _delay_grid(n, nodes)
         integral = complex(np.exp(-1j * (pts @ freq)) @ weighted)
         if prev is not None:
@@ -370,18 +366,14 @@ def scaled_amplitude_gaussian(
     return prefactor * result
 
 
-def gaussian_suppression_asymptote(
-    detunings: Detunings, sigma: float, n: int | None = None
-) -> float:
+def gaussian_suppression_asymptote(detunings: Detunings, sigma: float) -> float:
     """Narrow-bandwidth magnitude proxy sigma^(N-1) e^{-Delta_N^2/(N sigma^2)} / prod|D_k|.
 
     Valid for sigma well below every |delta_k| with all oscillation
     frequencies D_k nonzero; emits :class:`ValidityWarning` outside that
     regime and raises if some D_k vanishes (degenerate direction).
     """
-    n = detunings.n if n is None else n
-    if n != detunings.n:
-        raise ValueError("rung count inconsistent with detunings")
+    n = detunings.n
     kernel = GaussianKernel.from_detunings(detunings)
     scale = max(abs(d) for d in detunings.deltas)
     if any(abs(f) <= 1e-12 * max(scale, 1.0) for f in kernel.frequencies):
@@ -402,24 +394,19 @@ def gaussian_suppression_asymptote(
     return sigma ** (n - 1) * math.exp(-detunings.total**2 / (n * sigma**2)) / prod
 
 
-def scaled_amplitude_rect_distinct(
-    detunings: Detunings,
-    duration: float,
-    sep_tol: float | None = None,
-) -> complex:
+def scaled_amplitude_rect_distinct(detunings: Detunings, duration: float) -> complex:
     """Rectangular-envelope residue sum over distinct cumulant detunings.
 
     ``(-1)^N sum_q e^{-i (Delta_N - Delta_q) T} prod_{j != q} (Delta_j - Delta_q)^{-1}``
     with Delta_0 = 0 included in the pole set.  Near-degenerate cumulants
     lose all significance in the pole products, so separations at or below
-    ``sep_tol`` (default 1e-6 of the largest |Delta|) raise
+    1e-6 of the largest |Delta| (at least 1e-6) raise
     :class:`DegenerateCumulantsError`.
     """
     n = detunings.n
     cums = np.concatenate([[0.0], np.asarray(detunings.cumulants)])
     scale = max(1.0, float(np.max(np.abs(cums))))
-    if sep_tol is None:
-        sep_tol = 1e-6 * scale
+    sep_tol = 1e-6 * scale
     diffs = np.abs(cums[:, None] - cums[None, :])[np.triu_indices(n + 1, k=1)]
     if diffs.min() <= sep_tol:
         raise DegenerateCumulantsError(
@@ -460,8 +447,9 @@ def closed_form_amplitude(
     """Pick the applicable closed form for this field and evaluate it.
 
     Equal detunings use the resonant form for any envelope; otherwise the
-    Gaussian delay integral or the rectangular residue sum applies, falling
-    back to time-domain quadrature for degenerate rectangular cumulants.
+    Gaussian delay integral (2 <= N <= 5) or the rectangular residue sum
+    applies, falling back to time-domain quadrature for other rung counts
+    and for degenerate rectangular cumulants.
     ``tol`` bounds the relative error of any quadrature involved.
     """
     det = detunings_for(system, field)
@@ -473,19 +461,21 @@ def closed_form_amplitude(
             scaled = scaled_amplitude_rect_equal(mean, field.envelope.duration, n)
             method = AmplitudeMethod.RECT_EQUAL
         else:
-            s_val = complex(field.envelope.spectrum(-mean))
-            scaled = (1j) ** n * s_val**n / math.factorial(n)
+            scaled = _resonant_scaled(field, mean, n)
             method = AmplitudeMethod.RESONANT_CLOSED_FORM
         return TransitionAmplitude.from_scaled(scaled, system, field, method)
     if isinstance(field.envelope, GaussianEnvelope):
-        scaled = scaled_amplitude_gaussian(det, field.envelope, tol=tol)
-        return TransitionAmplitude.from_scaled(
-            scaled, system, field, AmplitudeMethod.GAUSSIAN_CLOSED_FORM
-        )
-    try:
-        scaled = scaled_amplitude_rect_distinct(det, field.envelope.duration)
-    except DegenerateCumulantsError:
-        return amplitude_time_quadrature(system, field, rwa=True, tol=min(tol, 1e-9))
-    return TransitionAmplitude.from_scaled(
-        scaled, system, field, AmplitudeMethod.RECT_DISTINCT
-    )
+        if n in _NODE_LADDERS:
+            scaled = scaled_amplitude_gaussian(det, field.envelope, tol=tol)
+            return TransitionAmplitude.from_scaled(
+                scaled, system, field, AmplitudeMethod.GAUSSIAN_CLOSED_FORM
+            )
+    else:
+        try:
+            scaled = scaled_amplitude_rect_distinct(det, field.envelope.duration)
+            return TransitionAmplitude.from_scaled(
+                scaled, system, field, AmplitudeMethod.RECT_DISTINCT
+            )
+        except DegenerateCumulantsError:
+            pass
+    return amplitude_time_quadrature(system, field, rwa=True, tol=min(tol, 1e-9))

@@ -1,10 +1,14 @@
 """Config loading, run dispatch, output formats, and exit codes."""
 
+import copy
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import laddernoise.noise as noise_module
 from laddernoise import ConfigError
@@ -43,6 +47,58 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+# values that replace one site of an example config in the exit-code tests
+MALFORMED = ("x", -1, 0, 0.5, None, [], {}, True)
+
+
+def mutation_bases():
+    """The docs examples with every optional block written out, so it is mutated too."""
+    bases = []
+    for name in sorted(os.listdir(DOCS)):
+        with open(os.path.join(DOCS, name)) as fh:
+            cfg = json.load(fh)
+        cfg["tolerances"] = {
+            "tdse_rel_tol": 1e-10,
+            "tdse_abs_tol": 1e-12,
+            "time_quad_tol": 1e-9,
+            "closed_form_tol": 1e-7,
+        }
+        cfg["target"] = len(cfg["system"]["dipoles"])
+        if cfg["run"]["type"] == "optimize":
+            # an "observable": "mc" mutation would otherwise run the default
+            # 2000-sample ensemble per objective evaluation
+            cfg["run"]["mc_samples"] = 4
+        bases.append(cfg)
+    return bases
+
+
+def sites(node, path=()):
+    """Paths to ``node`` and to every object, list and leaf below it."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from sites(child, path + (key,))
+
+
+def replaced(cfg, path, value):
+    if not path:
+        return value
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+MUTATION_SITES = [(cfg, path) for cfg in mutation_bases() for path in sites(cfg)]
+
+
 class TestLoadConfig:
     def test_minimal_round_trip(self, tmp_path):
         raw = minimal_config()
@@ -50,7 +106,7 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.digest == config_digest(raw)
         assert cfg.system.n_transitions == 2
-        assert cfg.tolerances["tdse_rel_tol"] == 1e-10  # defaults filled
+        assert cfg.tolerances.tdse_rel_tol == 1e-10  # defaults filled
         # digest is stable across loads
         assert load_config(path).digest == cfg.digest
 
@@ -110,6 +166,20 @@ class TestLoadConfig:
         cfg["evaluator"] = "tdse"
         cfg["target"] = 1
         load_config(write_config(tmp_path, cfg, "ok.json"))
+
+    def test_closed_form_observable_requires_one_component_per_transition(self, tmp_path):
+        cfg = minimal_config(
+            evaluator="tdse",
+            run={
+                "type": "optimize",
+                "target_yield": 0.1,
+                "fluence_weight": 1e-3,
+                "init": [0.5],
+            },
+        )
+        cfg["field"]["components"] = cfg["field"]["components"][:1]
+        with pytest.raises(ConfigError, match="tdse-mc"):
+            load_config(write_config(tmp_path, cfg))
 
     def test_scan_path_must_exist(self, tmp_path):
         cfg = minimal_config(
@@ -363,6 +433,25 @@ class TestMain:
         assert self.run_main(["ensemble", "--config", path, "--out", out]) == 3
         assert "sample" in capsys.readouterr().err
 
+    def test_scan_to_nonpositive_frequency_exit_code(self, tmp_path, capsys):
+        cfg = minimal_config(
+            run={
+                "type": "scan",
+                "parameter": COMMON_DETUNING_PARAMETER,
+                "grid": [0.0, -100.0],
+            }
+        )
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "o.csv")
+        assert self.run_main(["scan", "--config", path, "--out", out]) == 2
+        assert "scan point -100.0" in capsys.readouterr().err
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, minimal_config())
+        out = str(tmp_path / "missing" / "o.csv")
+        assert self.run_main(["shot", "--config", path, "--out", out]) == 2
+        assert "cannot write the output" in capsys.readouterr().err
+
     def test_optimizer_non_convergence_exit_code(self, tmp_path, capsys):
         cfg = minimal_config(
             run={
@@ -460,3 +549,41 @@ class TestMain:
         ]
         assert body[0].split(",")[0] == "value"
         assert len(body) == 10  # header + 9 grid points
+
+
+class TestExitCodes:
+    @given(site=st.sampled_from(MUTATION_SITES), value=st.sampled_from(MALFORMED))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_malformed_value_gives_a_documented_exit_code(self, site, value):
+        cfg, path = site
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "cfg.json")
+            with open(config, "w") as fh:
+                json.dump(replaced(cfg, path, value), fh)
+            out = os.path.join(tmp, "out.csv")
+            assert main([cfg["run"]["type"], "--config", config, "--out", out]) in (
+                0, 2, 3, 4,
+            )
+
+    @pytest.mark.parametrize(
+        "overrides,named",
+        [
+            ({"noise": 5}, "noise"),
+            ({"target": "top"}, "target"),
+            ({"output": "x.csv"}, "output"),
+            ({"tolerances": {"time_quad_tol": "x"}}, "time_quad_tol"),
+            ({"tolerances": {"time_quad_tol": -1}}, "time_quad_tol"),
+            ({"evaluator": "tdse", "tolerances": {"tdse_rel_tol": 0.5}}, "tdse_rel_tol"),
+        ],
+    )
+    def test_malformed_value_is_a_listed_violation(self, tmp_path, capsys, overrides, named):
+        # off resonance, so that a negative quadrature tolerance used to end in
+        # a numerical failure (exit 3) instead of a configuration error
+        field = minimal_config()["field"]
+        field["components"][1]["frequency"] = 114.5
+        cfg = minimal_config(**{"field": field, "evaluator": "perturb-time", **overrides})
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "o.csv")
+        assert main(["shot", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and named in err

@@ -162,10 +162,6 @@ class TestDetunings:
         with pytest.raises(ValueError, match="M = N"):
             detunings_for(system, f)
 
-    def test_inconsistent_cumulants_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            Detunings((0.1, 0.2), (0.1, 0.25))
-
     @given(
         st.lists(
             st.floats(min_value=-10, max_value=10, allow_nan=False),

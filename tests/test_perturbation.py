@@ -392,6 +392,14 @@ class TestClosedFormDispatch:
         for f, method in cases:
             assert closed_form_amplitude(system, f).method is method
 
+    def test_gaussian_beyond_five_rungs_falls_back_to_quadrature(self):
+        # the Gaussian delay integral covers 2..5 rungs only
+        system = LadderSystem((0.0, 60.0, 174.0, 336.0, 536.0, 786.0, 1096.0), (1.0,) * 6)
+        f = detuned_field(system, (0.1, 0.3, 0.0, -0.2, 0.1, 0.2), GaussianEnvelope(1.0))
+        fallback = closed_form_amplitude(system, f)
+        assert fallback.method is AmplitudeMethod.TIME_QUADRATURE
+        assert fallback == amplitude_time_quadrature(system, f, rwa=True)
+
     def test_degenerate_rect_fallback_is_consistent(self):
         system = ladder(2)
         renv = RectangularEnvelope(2.0)
