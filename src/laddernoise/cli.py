@@ -13,6 +13,7 @@ import argparse
 import copy
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -212,12 +213,12 @@ def _component_noise(c) -> ComponentNoise:
     )
 
 
-def _build_noise(raw, n_components, problems) -> NoiseSpec | None:
+def _build_noise(raw, fld, problems) -> NoiseSpec | None:
     noise_raw = raw.get("noise")
     if noise_raw is None:
-        return NoiseSpec.quiet(n_components)
+        return NoiseSpec.quiet(len(fld.components))
     comps_raw = noise_raw.get("components") if isinstance(noise_raw, dict) else None
-    if not isinstance(comps_raw, list) or len(comps_raw) != n_components:
+    if not isinstance(comps_raw, list) or len(comps_raw) != len(fld.components):
         problems.append("noise.components: must list one entry per field component")
         return None
     comps = [
@@ -226,6 +227,14 @@ def _build_noise(raw, n_components, problems) -> NoiseSpec | None:
     ]
     if any(c is None for c in comps):
         return None
+    for i, (comp, cn) in enumerate(zip(fld.components, comps)):
+        # bounded jitter only: a nonpositive Gaussian draw fails at run time (exit 3)
+        if isinstance(cn.frequency, UniformNoise) and cn.frequency.half_width >= comp.frequency:
+            problems.append(
+                f"noise.components[{i}]: uniform frequency half-width "
+                f"{cn.frequency.half_width:g} reaches the nominal frequency "
+                f"{comp.frequency:g}, so a draw can be nonpositive"
+            )
     return NoiseSpec(tuple(comps))
 
 
@@ -263,7 +272,7 @@ def _assign_path(raw: dict, path: str, value) -> None:
         node[key][int(idx)] = value
 
 
-def _build_run(raw, fld, noise, tolerances, problems) -> RunSpec | None:
+def _build_run(raw, fld, noise, evaluator, tolerances, problems) -> RunSpec | None:
     run = raw.get("run")
     if not isinstance(run, dict) or run.get("type") not in _RUN_TYPES:
         problems.append(f"run.type: must be one of {_RUN_TYPES}")
@@ -281,6 +290,12 @@ def _build_run(raw, fld, noise, tolerances, problems) -> RunSpec | None:
                 _resolve_path(raw, param)
             except (AttributeError, KeyError, IndexError, TypeError):
                 problems.append(f"run.parameter: path {param!r} does not exist")
+            else:
+                if param.partition(".")[0] not in ("system", "field"):
+                    problems.append(
+                        f"run.parameter: {param!r} is outside system and field, "
+                        "the only sections a scan point rebuilds"
+                    )
         grid = _guard(problems, "run.grid", _floats, run.get("grid"))
         if grid is not None and len(grid) < 2:
             problems.append("run.grid: scans need a grid of length >= 2")
@@ -295,18 +310,27 @@ def _build_run(raw, fld, noise, tolerances, problems) -> RunSpec | None:
         max_evals = _guard(
             problems, "run.max_evals", _integer, run.get("max_evals", 100_000), 0
         )
+        model = _guard(problems, "run.observable", ObservableModel, observable)
         objective = _guard(
             problems,
             "run",
             lambda: ObjectiveSpec(
                 float(run["target_yield"]),
                 float(run["fluence_weight"]),
-                ObservableModel(observable),
+                model,
                 mc_samples=_integer(run.get("mc_samples", 2000)),
                 seed=seed,
                 tolerances=tolerances,
+                evaluator=evaluator,
             ),
         )
+        if model is ObservableModel.ANALYTIC and noise is not None and any(
+            c.frequency is not None for c in noise.components
+        ):
+            problems.append(
+                "run.observable: analytic averages amplitude noise only and would "
+                "ignore the frequency noise; use mc"
+            )
         return RunSpec(rtype, seed, init=init, max_evals=max_evals, objective=objective)
     return RunSpec(rtype, seed)
 
@@ -332,9 +356,7 @@ def load_config(path: str) -> ExperimentConfig:
     warnings_list: list[str] = []
     system = _build_system(raw, problems)
     fld = _build_field(raw, problems)
-    noise = (
-        _build_noise(raw, len(fld.components), problems) if fld is not None else None
-    )
+    noise = _build_noise(raw, fld, problems) if fld is not None else None
     evaluator = _guard(
         problems, "evaluator", Evaluator, raw.get("evaluator", "closed-form")
     )
@@ -343,6 +365,8 @@ def load_config(path: str) -> ExperimentConfig:
     )
     output = _guard(problems, "output", _output, raw.get("output") or {})
 
+    run = _build_run(raw, fld, noise, evaluator, tolerances, problems)
+
     top = system.n_transitions if system is not None else 0
     target_index = _guard(problems, "target", _integer, raw.get("target", top), 0)
     if system is not None and target_index is not None:
@@ -350,8 +374,8 @@ def load_config(path: str) -> ExperimentConfig:
             problems.append("target: index out of range for this ladder")
         elif target_index != top and evaluator is not Evaluator.TDSE:
             problems.append("target: perturbative evaluators only produce the top level")
-
-    run = _build_run(raw, fld, noise, tolerances, problems)
+        elif target_index != top and run is not None and run.type == "optimize":
+            problems.append("target: optimize runs average the top-level yield")
 
     if system is not None and fld is not None and len(fld.components) != top:
         if evaluator is not Evaluator.TDSE:
@@ -359,9 +383,6 @@ def load_config(path: str) -> ExperimentConfig:
                 "evaluator: closed-form and perturb-time require one field "
                 "component per transition (M = N); only tdse accepts M != N"
             )
-        elif run is not None and run.objective is not None:
-            if run.objective.observable is not ObservableModel.TDSE_MC:
-                problems.append("run.observable: only tdse-mc accepts M != N")
 
     if problems:
         raise ConfigError(problems)
@@ -571,6 +592,21 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unwritable(path: str) -> str | None:
+    """Why ``path`` cannot be written, checked before the run spends its time.
+
+    The write itself still handles ``OSError`` for what this cannot foresee.
+    """
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return f"{path} is a directory"
+    if not os.path.isdir(directory):
+        return f"no such directory: {directory}"
+    if not os.access(directory, os.W_OK):
+        return f"directory not writable: {directory}"
+    return None
+
+
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
@@ -597,6 +633,10 @@ def main(argv=None) -> int:
     out_format = args.fmt or config.output_format
     if out_path is None:
         print("no output path: pass --out or set output.path", file=sys.stderr)
+        return 2
+    unwritable = _unwritable(out_path)
+    if unwritable:
+        print(f"cannot write the output: {unwritable}", file=sys.stderr)
         return 2
 
     try:

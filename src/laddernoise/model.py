@@ -184,10 +184,6 @@ class ControlField:
             raise ValueError("a control field needs at least one component")
 
     @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    @property
     def amplitudes(self) -> tuple[float, ...]:
         return tuple(c.amplitude for c in self.components)
 

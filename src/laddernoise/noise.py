@@ -375,15 +375,6 @@ class FreqNoiseKernel:
         return complex(out[0]) if np.asarray(delays).ndim == 1 else out
 
 
-def frequency_noise_kernel(
-    delays, delays_conj, d, delta_bar, sigma: float
-) -> complex:
-    """Closed form of the detuning-averaged oscillation kernel L_N."""
-    return FreqNoiseKernel(tuple(d), tuple(delta_bar), sigma).evaluate(
-        delays, delays_conj
-    )
-
-
 @lru_cache(maxsize=4)
 def _pair_grid(n: int, nodes: int):
     """Grid over (delays, delays_conj) on [0,R]^(2(N-1)) with damping applied.

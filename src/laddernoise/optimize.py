@@ -31,12 +31,11 @@ from .perturbation import closed_form_amplitude
 class ObservableModel(Enum):
     ANALYTIC = "analytic"
     MC = "mc"
-    TDSE_MC = "tdse-mc"
 
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Target yield, fluence weight, and the averaged-yield model to use."""
+    """Target yield, fluence weight, the averaged-yield model and its shot evaluator."""
 
     target_yield: float
     fluence_weight: float
@@ -44,6 +43,7 @@ class ObjectiveSpec:
     mc_samples: int = 2000
     seed: int = 0
     tolerances: Tolerances = Tolerances()
+    evaluator: Evaluator = Evaluator.CLOSED_FORM
 
     def __post_init__(self):
         if not 0.0 < self.target_yield < 1.0:
@@ -52,6 +52,10 @@ class ObjectiveSpec:
             raise ValueError("fluence_weight must be positive")
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be at least 2")
+        analytic = self.observable is ObservableModel.ANALYTIC
+        if analytic and self.evaluator is not Evaluator.CLOSED_FORM:
+            # coupling^2 prod_l (A_l^2 + var_l) is the closed-form shot yield averaged
+            raise ValueError("observable analytic needs the closed-form evaluator; use mc")
 
 
 @dataclass(frozen=True)
@@ -82,9 +86,9 @@ def yield_model(
 ) -> Callable[[np.ndarray], float]:
     """Averaged-yield Obar as a function of the nominal amplitude vector.
 
-    The analytic model handles amplitude noise in closed form; the MC models
-    rerun a fixed-seed ensemble per evaluation (common random numbers, so the
-    objective stays deterministic).
+    The analytic model handles amplitude noise in closed form; the MC model
+    reruns a fixed-seed ensemble of ``spec.evaluator`` shots per evaluation
+    (common random numbers, so the objective stays deterministic).
     """
     if spec.observable is ObservableModel.ANALYTIC:
         coupling = coupling_magnitude(system, field, spec.tolerances.closed_form_tol)
@@ -95,18 +99,13 @@ def yield_model(
 
         return analytic
 
-    evaluator = (
-        Evaluator.TDSE if spec.observable is ObservableModel.TDSE_MC
-        else Evaluator.CLOSED_FORM
-    )
-
     def monte_carlo(amps: np.ndarray) -> float:
         shifted = field.with_amplitudes(tuple(float(a) for a in amps))
         stats = ensemble_average(
             system,
             shifted,
             noise,
-            evaluator,
+            spec.evaluator,
             spec.mc_samples,
             spec.seed,
             tolerances=spec.tolerances,

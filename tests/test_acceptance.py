@@ -14,6 +14,7 @@ from laddernoise import (
     ControlField,
     Detunings,
     Evaluator,
+    FreqNoiseKernel,
     GaussianEnvelope,
     LadderSystem,
     NoiseSpec,
@@ -27,7 +28,6 @@ from laddernoise import (
     closed_form_amplitude,
     ensemble_average,
     frequency_noise_average,
-    frequency_noise_kernel,
     optimize_amplitudes,
     pairwise_sum,
     population,
@@ -336,7 +336,7 @@ def test_08_frequency_noise_kernel_closed_form():
         db = rng.uniform(-1.5, 1.5, 2) * sigma
         tau = rng.uniform(0.0, 3.0, 1)
         tau_p = rng.uniform(0.0, 3.0, 1)
-        closed = frequency_noise_kernel(tau, tau_p, d, db, sigma)
+        closed = FreqNoiseKernel(tuple(d), tuple(db), sigma).evaluate(tau, tau_p)
         # direct integration of the defining two-dimensional average
         d1 = db[0] + d[0] * sigma * x[:, None]
         d2 = db[1] + d[1] * sigma * x[None, :]

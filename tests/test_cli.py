@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import laddernoise.cli as cli_module
 import laddernoise.noise as noise_module
-from laddernoise import ConfigError
+from laddernoise import ConfigError, Evaluator
 from laddernoise.cli import (
     COMMON_DETUNING_PARAMETER,
     config_digest,
@@ -39,6 +40,21 @@ def minimal_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+# an optimize run small enough for the Monte Carlo observable
+OPTIMIZE_RUN = {
+    "type": "optimize",
+    "target_yield": 0.1,
+    "fluence_weight": 1e-3,
+    "init": [0.5, 0.5],
+    "mc_samples": 2,
+    "max_evals": 6,
+    "seed": 3,
+}
+
+
+SCAN_RUN = {"type": "scan", "parameter": COMMON_DETUNING_PARAMETER, "grid": [1.0, 2.0]}
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -178,7 +194,7 @@ class TestLoadConfig:
             },
         )
         cfg["field"]["components"] = cfg["field"]["components"][:1]
-        with pytest.raises(ConfigError, match="tdse-mc"):
+        with pytest.raises(ConfigError, match="observable analytic needs the closed-form evaluator"):
             load_config(write_config(tmp_path, cfg))
 
     def test_scan_path_must_exist(self, tmp_path):
@@ -376,6 +392,43 @@ class TestRunExperiment:
         run_experiment(load_config(write_config(tmp_path, cfg_raw)))
         assert seen and set(seen) == {1e-5}
 
+    def test_mc_optimizer_uses_configured_evaluator(self, tmp_path, monkeypatch):
+        seen = []
+        real = noise_module.single_shot
+
+        def spy(system, field, evaluator, target_index, tolerances):
+            seen.append((evaluator, target_index))
+            return real(system, field, evaluator, target_index, tolerances)
+
+        monkeypatch.setattr(noise_module, "single_shot", spy)
+        cfg_raw = minimal_config(
+            evaluator="perturb-time",
+            noise={
+                "components": [
+                    {"amplitude": {"dist": "uniform", "half_width": 0.1}},
+                    {},
+                ]
+            },
+            run=dict(OPTIMIZE_RUN, observable="mc"),
+        )
+        run_experiment(load_config(write_config(tmp_path, cfg_raw)))
+        assert seen and set(seen) == {(Evaluator.PERTURB_TIME, 2)}
+
+    def test_tdse_mc_optimizer_accepts_fewer_components_than_transitions(self, tmp_path):
+        cfg_raw = minimal_config(
+            system={"energies": [0.0, 25.0, 59.0], "dipoles": [1.0, 1.0]},
+            field={
+                "envelope": {"kind": "rectangular", "duration": 3.0},
+                "components": [{"amplitude": 0.5, "phase": 0.0, "frequency": 25.0}],
+            },
+            evaluator="tdse",
+            run=dict(OPTIMIZE_RUN, observable="mc", init=[0.5]),
+        )
+        record = run_experiment(load_config(write_config(tmp_path, cfg_raw)))
+        final = dict(zip(record.columns, record.rows[-1]))
+        assert final["final"] == 1 and "amp_1" not in final
+        assert 0.0 <= final["amp_0"] and math.isfinite(final["objective"])
+
     def test_optimize_rows_trace_and_final(self, tmp_path):
         cfg = load_config(os.path.join(DOCS, "noise_cooperation_optimize.json"))
         record = run_experiment(cfg)
@@ -446,11 +499,17 @@ class TestMain:
         assert self.run_main(["scan", "--config", path, "--out", out]) == 2
         assert "scan point -100.0" in capsys.readouterr().err
 
-    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch):
+        shots = []
+        real = cli_module.single_shot
+        monkeypatch.setattr(
+            cli_module, "single_shot", lambda *a: shots.append(a) or real(*a)
+        )
         path = write_config(tmp_path, minimal_config())
         out = str(tmp_path / "missing" / "o.csv")
         assert self.run_main(["shot", "--config", path, "--out", out]) == 2
         assert "cannot write the output" in capsys.readouterr().err
+        assert shots == []  # refused before the run
 
     def test_optimizer_non_convergence_exit_code(self, tmp_path, capsys):
         cfg = minimal_config(
@@ -564,6 +623,52 @@ class TestExitCodes:
             assert main([cfg["run"]["type"], "--config", config, "--out", out]) in (
                 0, 2, 3, 4,
             )
+
+    @pytest.mark.parametrize(
+        "overrides,named",
+        [
+            ({"run": dict(OPTIMIZE_RUN, observable="tdse-mc")}, "run.observable"),
+            ({"evaluator": "tdse", "run": OPTIMIZE_RUN}, "observable analytic"),
+            (
+                {"evaluator": "tdse", "target": 1, "run": dict(OPTIMIZE_RUN, observable="mc")},
+                "target: optimize",
+            ),
+            (
+                {
+                    "noise": {"components": [{"frequency": {"dist": "gaussian", "std": 3.0}}, {}]},
+                    "run": OPTIMIZE_RUN,
+                },
+                "run.observable",
+            ),
+            (
+                {
+                    "noise": {
+                        "components": [{"frequency": {"dist": "uniform", "half_width": 100.0}}, {}]
+                    },
+                    "run": {"type": "ensemble", "samples": 2, "seed": 1},
+                },
+                "noise.components[0]",
+            ),
+            # a scan point rebuilds only the system and the field
+            (
+                {
+                    "tolerances": {"time_quad_tol": 1e-9},
+                    "run": dict(SCAN_RUN, parameter="tolerances.time_quad_tol", grid=[1e-9, 1e-3]),
+                },
+                "run.parameter",
+            ),
+            ({"run": dict(SCAN_RUN, parameter="evaluator")}, "run.parameter"),
+            ({"target": 2, "run": dict(SCAN_RUN, parameter="target")}, "run.parameter"),
+            ({"run": dict(SCAN_RUN, parameter="run.grid[0]")}, "run.parameter"),
+        ],
+    )
+    def test_rule_violation_is_listed(self, tmp_path, capsys, overrides, named):
+        cfg = minimal_config(**overrides)
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "o.csv")
+        assert main([cfg["run"]["type"], "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and named in err
 
     @pytest.mark.parametrize(
         "overrides,named",

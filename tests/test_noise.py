@@ -23,7 +23,6 @@ from laddernoise import (
     amplitude_noise_average,
     ensemble_average,
     frequency_noise_average,
-    frequency_noise_kernel,
     frequency_noise_scaled,
     pairwise_sum,
     rect_noise_limit,
@@ -293,7 +292,7 @@ class TestFrequencyNoiseKernel:
             db = rng.uniform(-1.5, 1.5, 2) * sigma
             tau = rng.uniform(0.0, 3.0, 1)
             tau_p = rng.uniform(0.0, 3.0, 1)
-            closed = frequency_noise_kernel(tau, tau_p, d, db, sigma)
+            closed = FreqNoiseKernel(tuple(d), tuple(db), sigma).evaluate(tau, tau_p)
             d1 = db[0] + d[0] * sigma * x[:, None]
             d2 = db[1] + d[1] * sigma * x[None, :]
             total = d1 + d2

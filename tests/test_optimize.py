@@ -7,6 +7,7 @@ import pytest
 
 from laddernoise import (
     ControlField,
+    Evaluator,
     GaussianEnvelope,
     LadderSystem,
     NoiseSpec,
@@ -96,6 +97,11 @@ class TestObjective:
             ObjectiveSpec(0.0, 0.01)
         with pytest.raises(ValueError):
             ObjectiveSpec(0.1, 0.0)
+
+    def test_analytic_observable_needs_the_closed_form_evaluator(self):
+        with pytest.raises(ValueError, match="closed-form evaluator"):
+            ObjectiveSpec(0.1, 0.01, evaluator=Evaluator.TDSE)
+        ObjectiveSpec(0.1, 0.01, ObservableModel.MC, evaluator=Evaluator.TDSE)
 
     def test_coupling_magnitude(self):
         system, field = setup_problem()
