@@ -10,14 +10,13 @@ u_l + var_l constant across components wherever u_l > 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ControlField, LadderSystem, fluence, transition_frequencies
+from .model import ControlField, LadderSystem, fluence
 from .noise import (
     Evaluator,
     NoiseSpec,
@@ -86,11 +85,17 @@ def yield_model(
 ) -> Callable[[np.ndarray], float]:
     """Averaged-yield Obar as a function of the nominal amplitude vector.
 
-    The analytic model handles amplitude noise in closed form; the MC model
+    The analytic model handles amplitude noise in closed form and raises
+    ``ValueError`` for frequency noise, which it cannot average; the MC model
     reruns a fixed-seed ensemble of ``spec.evaluator`` shots per evaluation
     (common random numbers, so the objective stays deterministic).
     """
     if spec.observable is ObservableModel.ANALYTIC:
+        if any(c.frequency is not None for c in noise.components):
+            raise ValueError(
+                "observable analytic averages amplitude noise only and would "
+                "ignore the frequency noise; use mc"
+            )
         coupling = coupling_magnitude(system, field, spec.tolerances.closed_form_tol)
         variances = noise.amplitude_variances()
 
@@ -143,25 +148,22 @@ def verify_optimality_condition(amplitudes, variances) -> float:
 _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
 
 
-def _nelder_mead(f, x0: np.ndarray, step, max_evals: int, project=None):
-    """Projected Nelder-Mead; returns (x, fx, evals, converged).
+def _nelder_mead(f, x0: np.ndarray, step, max_evals: int):
+    """Nelder-Mead clamped at zero; returns (x, fx, evals, converged).
 
     ``step`` gives the absolute initial simplex offset per coordinate
-    (scalar or array); ``project`` maps trial points back into the feasible
-    set (default: clamp every coordinate at zero).
+    (scalar or array); trial points are clamped at zero before ``f`` sees them.
     """
     dim = len(x0)
     steps = np.broadcast_to(np.asarray(step, dtype=float), (dim,))
-    if project is None:
-        project = lambda x: np.maximum(x, 0.0)  # noqa: E731
     evals = 0
 
     def feval(x):
         nonlocal evals
         evals += 1
-        return f(project(x))
+        return f(np.maximum(x, 0.0))
 
-    simplex = [project(np.asarray(x0, dtype=float))]
+    simplex = [np.maximum(np.asarray(x0, dtype=float), 0.0)]
     for i in range(dim):
         v = simplex[0].copy()
         v[i] += steps[i]
@@ -256,80 +258,4 @@ def optimize_amplitudes(
         iterations=total_evals,
         converged=ok,
         condition_residual=residual,
-    )
-
-
-# ---------------------------------------------------------------------------
-# experimental: joint amplitude-frequency search
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JointOptimizationResult:
-    amplitudes: tuple[float, ...]
-    detunings: tuple[float, ...]
-    objective: float
-    iterations: int
-    converged: bool
-
-
-def optimize_joint(
-    spec: ObjectiveSpec,
-    system: LadderSystem,
-    field: ControlField,
-    noise: NoiseSpec,
-    init_amplitudes: Sequence[float],
-    init_detunings: Sequence[float],
-    max_evals: int = 100_000,
-) -> JointOptimizationResult:
-    """Experimental: minimize J over amplitudes *and* per-component detunings.
-
-    The main optimizer holds the detunings fixed; this variant searches the
-    concatenated (squared amplitudes, detunings) space with the same simplex
-    machinery.  The objective landscape over detunings is multimodal in
-    general, so treat results as a local refinement, not a global answer.
-    """
-    wbar = transition_frequencies(system)
-    n = len(wbar)
-    if len(init_amplitudes) != n or len(init_detunings) != n:
-        raise ValueError("need one initial amplitude and detuning per transition")
-    model_spec = spec
-
-    def f_joint(x: np.ndarray) -> float:
-        u = np.maximum(x[:n], 0.0)
-        deltas = x[n:]
-        amps = np.sqrt(u)
-        shifted = field.with_amplitudes(amps).with_frequencies(
-            tuple(w + float(d) for w, d in zip(wbar, deltas))
-        )
-        model = yield_model(model_spec, system, shifted, noise)
-        val = (model(amps) - spec.target_yield) ** 2
-        return val + spec.fluence_weight * float(np.sum(u))
-
-    def project(x):
-        out = x.copy()
-        out[:n] = np.maximum(out[:n], 0.0)
-        return out
-
-    sigma_scale = getattr(field.envelope, "sigma", None)
-    if sigma_scale is None:
-        sigma_scale = 2.0 * math.pi / field.envelope.duration
-    u0 = np.square(np.asarray(init_amplitudes, dtype=float))
-    x0 = np.concatenate([u0, np.asarray(init_detunings, dtype=float)])
-    steps = np.concatenate(
-        [0.25 * np.maximum(np.abs(u0), 0.1), 0.25 * sigma_scale * np.ones(n)]
-    )
-    x, _, used, ok = _nelder_mead(f_joint, x0, step=steps, max_evals=max_evals // 2, project=project)
-    fine = np.concatenate(
-        [0.01 * np.maximum(np.abs(x[:n]), 0.1), 0.01 * sigma_scale * np.ones(n)]
-    )
-    x, fx, used2, ok2 = _nelder_mead(
-        f_joint, x, step=fine, max_evals=max_evals // 2, project=project
-    )
-    return JointOptimizationResult(
-        amplitudes=tuple(float(a) for a in np.sqrt(np.maximum(x[:n], 0.0))),
-        detunings=tuple(float(d) for d in x[n:]),
-        objective=fx,
-        iterations=used + used2,
-        converged=ok and ok2,
     )

@@ -301,6 +301,25 @@ def _delay_grid(n: int, nodes_per_dim: int):
     return pts, weighted
 
 
+def _separable_delay_integral(
+    x: np.ndarray, weighted: np.ndarray, freq: tuple[float, ...]
+) -> complex:
+    """sum_p weighted[p] exp(-i freq . pts[p]) over the tensor grid on nodes x.
+
+    The phase is a sum over the delays, so the sum is the weight tensor
+    contracted with one phase vector exp(-i freq_k x) per delay.  The last
+    (contiguous) axis goes first, as one real matmul against the (re, im)
+    pairs of its phase vector, so the real weights are never copied to
+    complex.
+    """
+    nodes = x.size
+    pairs = np.exp(-1j * freq[-1] * x).view(np.float64).reshape(nodes, 2)
+    acc = (weighted.reshape(-1, nodes) @ pairs).view(np.complex128)
+    for f in freq[-2::-1]:
+        acc = acc.reshape(-1, nodes) @ np.exp(-1j * f * x)
+    return complex(acc.item())
+
+
 # per-dimension node ladders, sized so the largest tensor grid stays a few
 # million points (the resonant integrals converge several levels earlier)
 _NODE_LADDERS = {
@@ -321,7 +340,10 @@ def scaled_amplitude_gaussian(
     Evaluates the analytic prefactor times the damped oscillatory integral
     over the inter-event delays by tensor Gauss-Legendre quadrature on the
     truncated box, doubling the per-dimension node count until the relative
-    change drops below ``tol``.
+    change drops below ``tol``.  The phase is a sum over the delays, so each
+    level contracts the damped weight tensor with a product of
+    one-dimensional phase vectors: (N-1) * nodes exponentials, not
+    nodes^(N-1).
     """
     if not isinstance(envelope, GaussianEnvelope):
         raise TypeError("this closed form requires a Gaussian envelope")
@@ -340,13 +362,13 @@ def scaled_amplitude_gaussian(
             AccuracyWarning,
             stacklevel=2,
         )
-    freq = np.asarray(kernel.frequencies) / (n * sigma)
+    freq = tuple(f / (n * sigma) for f in kernel.frequencies)
     prev = None
     result = None
     last_diff = math.inf
     for nodes in _NODE_LADDERS[n]:
         pts, weighted = _delay_grid(n, nodes)
-        integral = complex(np.exp(-1j * (pts @ freq)) @ weighted)
+        integral = _separable_delay_integral(pts[:nodes, -1], weighted, freq)
         if prev is not None:
             last_diff = abs(integral - prev)
             if last_diff <= tol * max(abs(integral), 1e-12):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from laddernoise import (
+    ComponentNoise,
     ControlField,
     Evaluator,
     GaussianEnvelope,
@@ -14,10 +15,10 @@ from laddernoise import (
     ObjectiveSpec,
     ObservableModel,
     PulseComponent,
+    UniformNoise,
     coupling_magnitude,
     objective,
     optimize_amplitudes,
-    optimize_joint,
     transition_frequencies,
     verify_optimality_condition,
 )
@@ -102,6 +103,24 @@ class TestObjective:
         with pytest.raises(ValueError, match="closed-form evaluator"):
             ObjectiveSpec(0.1, 0.01, evaluator=Evaluator.TDSE)
         ObjectiveSpec(0.1, 0.01, ObservableModel.MC, evaluator=Evaluator.TDSE)
+
+    def test_analytic_observable_refuses_frequency_noise(self):
+        system, field = setup_problem()
+        sigma = field.envelope.sigma
+        spec = ObjectiveSpec(0.1, 1e-3)
+        for noise in (
+            NoiseSpec.frequency_gaussian((1.0, 1.0), sigma),
+            NoiseSpec((ComponentNoise(), ComponentNoise(frequency=UniformNoise(0.1)))),
+        ):
+            with pytest.raises(ValueError, match="use mc"):
+                optimize_amplitudes(spec, system, field, noise, init=(0.5, 0.5))
+            with pytest.raises(ValueError, match="use mc"):
+                objective((0.5, 0.5), spec, system, field, noise)
+        # phase noise leaves |S| unchanged, so the analytic model still applies
+        phased = objective(
+            (0.5, 0.5), spec, system, field, NoiseSpec.phase_uniform((0.3, 0.3))
+        )
+        assert phased == objective((0.5, 0.5), spec, system, field, NoiseSpec.quiet(2))
 
     def test_coupling_magnitude(self):
         system, field = setup_problem()
@@ -228,24 +247,6 @@ class TestOptimizeAmplitudes:
             ObjectiveSpec(0.1, 1e-3), system, field, noise, init=(0.5, 0.5)
         )
         assert np.allclose(r1.amplitudes, analytic.amplitudes, atol=0.05)
-
-    def test_joint_search_pulls_detunings_to_resonance(self):
-        # experimental joint mode: starting detuned, resonance needs the
-        # least fluence for a modest target, so the detunings relax to ~0
-        system, field = setup_problem()
-        env = field.envelope
-        result = optimize_joint(
-            ObjectiveSpec(0.1, 1e-3),
-            system,
-            field,
-            NoiseSpec.quiet(2),
-            init_amplitudes=(0.5, 0.5),
-            init_detunings=(0.6 * env.sigma, -0.4 * env.sigma),
-        )
-        assert result.converged
-        assert max(abs(d) for d in result.detunings) < 0.05 * env.sigma
-        # with the detunings gone the amplitude optimum is the symmetric one
-        assert result.amplitudes[0] == pytest.approx(result.amplitudes[1], abs=1e-3)
 
     def test_trace_records_improvements(self):
         system, field = setup_problem()

@@ -27,6 +27,11 @@ from laddernoise import (
     transition_frequencies,
     transition_yield,
 )
+from laddernoise.perturbation import (
+    _NODE_LADDERS,
+    _delay_grid,
+    _separable_delay_integral,
+)
 
 # Carriers far above the envelope bandwidth keep each component associated
 # with its own transition; the closed forms assume exactly that.
@@ -201,6 +206,36 @@ class TestGaussianClosedForm:
         deltas = (40 * env.sigma, -40 * env.sigma)
         with pytest.warns(AccuracyWarning):
             scaled_amplitude_gaussian(Detunings.from_deltas(deltas), env)
+
+
+# exact binary fractions, so the zero-frequency case below is exactly zero
+DELAY_DELTAS = (0.375, -0.25, 0.5, 0.125, -0.375)
+
+
+def _delay_deltas(n, zero_frequency):
+    """Detunings with every D_k nonzero, or with D_1 = N delta_1 - Delta_N = 0."""
+    if not zero_frequency:
+        return DELAY_DELTAS[:n]
+    others = DELAY_DELTAS[1:n]
+    return (sum(others) / (n - 1),) + others
+
+
+class TestSeparableDelayIntegral:
+    @pytest.mark.parametrize(
+        "n,nodes",
+        [(n, nodes) for n, ladder in _NODE_LADDERS.items() for nodes in ladder[:2]],
+    )
+    @pytest.mark.parametrize("zero_frequency", [False, True])
+    def test_matches_direct_tensor_sum(self, n, nodes, zero_frequency):
+        kernel = GaussianKernel.from_detunings(
+            Detunings.from_deltas(_delay_deltas(n, zero_frequency))
+        )
+        assert (0.0 in kernel.frequencies) == zero_frequency
+        freq = tuple(f / (n * GaussianEnvelope(1.0).sigma) for f in kernel.frequencies)
+        pts, weighted = _delay_grid(n, nodes)
+        direct = complex(np.exp(-1j * (pts @ np.asarray(freq))) @ weighted)
+        separable = _separable_delay_integral(pts[:nodes, -1], weighted, freq)
+        assert abs(separable - direct) <= 1e-12 * abs(direct)
 
 
 class TestGaussianKernel:
