@@ -46,7 +46,12 @@ from .noise import (
     ensemble_average,
     single_shot,
 )
-from .optimize import ObjectiveSpec, ObservableModel, optimize_amplitudes
+from .optimize import (
+    ObjectiveSpec,
+    ObservableModel,
+    check_observable_noise,
+    optimize_amplitudes,
+)
 
 # not called here: bound so that perfbench/layers.py can wrap them in this module
 from .perturbation import amplitude_time_quadrature, closed_form_amplitude  # noqa: F401
@@ -324,13 +329,8 @@ def _build_run(raw, fld, noise, evaluator, tolerances, problems) -> RunSpec | No
                 evaluator=evaluator,
             ),
         )
-        if model is ObservableModel.ANALYTIC and noise is not None and any(
-            c.frequency is not None for c in noise.components
-        ):
-            problems.append(
-                "run.observable: analytic averages amplitude noise only and would "
-                "ignore the frequency noise; use mc"
-            )
+        if model is not None and noise is not None:
+            _guard(problems, "run.observable", check_observable_noise, model, noise)
         return RunSpec(rtype, seed, init=init, max_evals=max_evals, objective=objective)
     return RunSpec(rtype, seed)
 

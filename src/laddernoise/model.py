@@ -247,10 +247,6 @@ class Detunings:
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "cumulants", tuple(itertools.accumulate(deltas)))
 
-    @classmethod
-    def from_deltas(cls, deltas) -> "Detunings":
-        return cls(tuple(float(d) for d in deltas))
-
     @property
     def n(self) -> int:
         return len(self.deltas)
@@ -272,6 +268,6 @@ def detunings_for(system: LadderSystem, field: ControlField) -> Detunings:
             f"field has {len(field.components)} components but the ladder has "
             f"{len(wbar)} transitions; the perturbative association needs M = N"
         )
-    return Detunings.from_deltas(
+    return Detunings(
         tuple(c.frequency - w for c, w in zip(field.components, wbar))
     )

@@ -15,7 +15,6 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -354,42 +353,47 @@ class FreqNoiseKernel:
     def evaluate(self, delays, delays_conj):
         """Averaging kernel L_N for one or many delay pairs.
 
-        ``delays``/``delays_conj`` have shape (N-1,) or (m, N-1); the result
-        is a complex scalar or an (m,) array.
+        ``delays`` and ``delays_conj`` broadcast to shape (..., N-1); the
+        result is a complex scalar for one pair, else an array of the leading
+        shape.
         """
         d = np.asarray(self.d)
         db = np.asarray(self.delta_bar)
-        u = np.atleast_2d(np.asarray(delays) - np.asarray(delays_conj))
+        u = np.asarray(delays) - np.asarray(delays_conj)
         # v[k] = sum_{j >= k} u_j for k = 1..N-1, and v[N] = 0
-        v = np.concatenate(
-            [np.cumsum(u[:, ::-1], axis=1)[:, ::-1], np.zeros((u.shape[0], 1))],
-            axis=1,
-        )
-        v_bar = v.mean(axis=1, keepdims=True)
+        v = np.zeros(u.shape[:-1] + (self.n,))
+        v[..., :-1] = np.cumsum(u[..., ::-1], axis=-1)[..., ::-1]
+        v_bar = v.mean(axis=-1, keepdims=True)
         c = 2.0 * db / (self.sigma**2 * d**2) - 1j * (v_bar - v) / self.sigma
-        quad = np.einsum("mi,ij,mj->m", c, self.b_inverse, c)
+        quad = np.einsum("...i,ij,...j->...", c, self.b_inverse, c)
         expo = (self.sigma**2 / 4.0) * quad - np.sum(
             db**2 / (d**2 * self.sigma**2)
         )
         out = (1.0 / np.prod(d)) * self.det_b**-0.5 * np.exp(expo)
-        return complex(out[0]) if np.asarray(delays).ndim == 1 else out
+        return complex(out) if u.ndim == 1 else out
 
 
-@lru_cache(maxsize=4)
-def _pair_grid(n: int, nodes: int):
-    """Grid over (delays, delays_conj) on [0,R]^(2(N-1)) with damping applied.
+# per-dimension node ladders of the delay-pair quadrature
+_PAIR_NODE_LADDERS = {2: (32, 64, 128, 256, 512), 3: (12, 18, 24, 36)}
 
-    The Cartesian square of the single-amplitude delay grid: the damping
-    factor of a pair is the product of the two delays' factors.
+
+def _pair_sum(kernel: FreqNoiseKernel, n: int, nodes: int) -> float:
+    """Sum of w[p] Re L(tau_p, tau_q) w[q] over all point pairs of one delay grid.
+
+    The pair grid is the Cartesian square of the single-amplitude delay grid,
+    so the damped pair weight is w[p] w[q]; the kernel is evaluated on about
+    2^18 pairs at a time, one block of rows p against every q.
     """
-    pts, weighted = _delay_grid(n, nodes)
-    m = pts.shape[0]
-    tau = np.repeat(pts, m, axis=0)
-    tau_p = np.tile(pts, (m, 1))
-    pair_weighted = np.outer(weighted, weighted).ravel()
-    for arr in (tau, tau_p, pair_weighted):
-        arr.setflags(write=False)
-    return tau, tau_p, pair_weighted
+    x, weighted = _delay_grid(n, nodes)
+    grids = np.meshgrid(*([x] * (n - 1)), indexing="ij")
+    pts = np.stack(grids, axis=-1).reshape(-1, n - 1)
+    block = max(1, (1 << 18) // pts.shape[0])
+    total = 0.0
+    for lo in range(0, pts.shape[0], block):
+        rows = slice(lo, lo + block)
+        lvals = kernel.evaluate(pts[rows, None], pts)
+        total += float(np.real(weighted[rows] @ lvals @ weighted))
+    return total
 
 
 def frequency_noise_average(
@@ -402,8 +406,10 @@ def frequency_noise_average(
 
     Evaluates the 2(N-1)-dimensional delay integral with the closed-form
     kernel by tensor quadrature, including the tau^{2N} / ((4 pi)^{N-1} N)
-    scale.  Larger ladders should use the Monte Carlo path (the observable is
-    itself an expectation value).
+    scale.  Each level of the node ladder sums the kernel over all pairs of
+    points of the single-amplitude delay grid (``_pair_sum``).  Larger
+    ladders should use the Monte Carlo path (the observable is itself an
+    expectation value).
     """
     if not isinstance(envelope, GaussianEnvelope):
         raise TypeError("frequency-noise averaging requires a Gaussian envelope")
@@ -414,17 +420,10 @@ def frequency_noise_average(
             "Monte Carlo ensemble for larger ladders"
         )
     kernel = FreqNoiseKernel(tuple(d), tuple(delta_bar), envelope.sigma)
-    ladder = (32, 64, 128, 256, 512) if n == 2 else (12, 18, 24, 36)
     prev = None
     value = None
-    for nodes in ladder:
-        tau, tau_p, weighted = _pair_grid(n, nodes)
-        total = 0.0
-        chunk = 1 << 18
-        for lo in range(0, tau.shape[0], chunk):
-            hi = lo + chunk
-            lvals = kernel.evaluate(tau[lo:hi], tau_p[lo:hi])
-            total += float(np.real(np.dot(weighted[lo:hi], lvals)))
+    for nodes in _PAIR_NODE_LADDERS[n]:
+        total = _pair_sum(kernel, n, nodes)
         if prev is not None and abs(total - prev) <= tol * max(abs(total), 1e-300):
             value = total
             break

@@ -77,6 +77,21 @@ def coupling_magnitude(
     return abs(amp.scaled * prod)
 
 
+def check_observable_noise(observable: ObservableModel, noise: NoiseSpec) -> None:
+    """Raise ``ValueError`` if ``observable`` cannot average ``noise``.
+
+    The analytic observable averages amplitude noise only; phase noise leaves
+    the yield unchanged, but frequency noise would be ignored.
+    """
+    if observable is ObservableModel.ANALYTIC and any(
+        c.frequency is not None for c in noise.components
+    ):
+        raise ValueError(
+            "observable analytic averages amplitude noise only and would "
+            "ignore the frequency noise; use mc"
+        )
+
+
 def yield_model(
     spec: ObjectiveSpec,
     system: LadderSystem,
@@ -90,12 +105,8 @@ def yield_model(
     reruns a fixed-seed ensemble of ``spec.evaluator`` shots per evaluation
     (common random numbers, so the objective stays deterministic).
     """
+    check_observable_noise(spec.observable, noise)
     if spec.observable is ObservableModel.ANALYTIC:
-        if any(c.frequency is not None for c in noise.components):
-            raise ValueError(
-                "observable analytic averages amplitude noise only and would "
-                "ignore the frequency noise; use mc"
-            )
         coupling = coupling_magnitude(system, field, spec.tolerances.closed_form_tol)
         variances = noise.amplitude_variances()
 

@@ -238,29 +238,13 @@ def _resonant_scaled(field: ControlField, mean: float, n: int) -> complex:
     return (1j) ** n * s_val**n / math.factorial(n)
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianKernel:
-    """Damping and oscillation data of the Gaussian-envelope closed form.
-
-    ``frequencies[k-1] = k Delta_N - N Delta_k`` drives the oscillation of
-    delay k, and ``quad_matrix`` is the positive-definite matrix of the
-    quadratic damping form over the N-1 inter-event delays.
-    """
-
-    n: int
-    frequencies: tuple[float, ...]
-    quad_matrix: np.ndarray
-
-    @classmethod
-    def from_detunings(cls, detunings: Detunings) -> "GaussianKernel":
-        n = detunings.n
-        if n < 2:
-            raise ValueError("the delay-integral kernel needs at least two rungs")
-        total = detunings.total
-        freqs = tuple(
-            k * total - n * detunings.cumulants[k - 1] for k in range(1, n)
-        )
-        return cls(n, freqs, _damping_matrix(n))
+def _delay_frequencies(detunings: Detunings) -> tuple[float, ...]:
+    """Oscillation frequency ``k Delta_N - N Delta_k`` of each delay k = 1..N-1."""
+    n = detunings.n
+    if n < 2:
+        raise ValueError("the delay-integral kernel needs at least two rungs")
+    total = detunings.total
+    return tuple(k * total - n * detunings.cumulants[k - 1] for k in range(1, n))
 
 
 @lru_cache(maxsize=None)
@@ -283,28 +267,36 @@ def _truncation_radius(n: int) -> float:
 
 @lru_cache(maxsize=16)
 def _delay_grid(n: int, nodes_per_dim: int):
-    """Tensor Gauss-Legendre grid on [0, R]^(N-1) with damping pre-applied."""
+    """Gauss-Legendre nodes on [0, R] and the damped tensor weights on [0, R]^(N-1).
+
+    Returns the 1-D nodes ``x`` and the flat (C-order) weight tensor with the
+    damping factor exp(-tau.Q.tau / 4N) applied: entry p belongs to the delay
+    point whose coordinates are x at the multi-index of p.  The tensor is built
+    from open grids, so no point array is ever formed.
+    """
     radius = _truncation_radius(n)
     x, w = np.polynomial.legendre.leggauss(nodes_per_dim)
     x = radius * (x + 1.0) / 2.0
     w = w * radius / 2.0
-    dims = n - 1
-    grids = np.meshgrid(*([x] * dims), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wt = np.ones(pts.shape[0])
-    for wg in np.meshgrid(*([w] * dims), indexing="ij"):
-        wt *= wg.ravel()
-    damping = np.einsum("ij,jk,ik->i", pts, _damping_matrix(n), pts)
-    weighted = wt * np.exp(-damping / (4.0 * n))
-    pts.setflags(write=False)
+    q = _damping_matrix(n)
+    axes = np.meshgrid(*([x] * (n - 1)), indexing="ij", sparse=True)
+    damping = np.zeros((nodes_per_dim,) * (n - 1))
+    for k, j in np.ndindex(q.shape):
+        damping += q[k, j] * (axes[k] * axes[j])
+    np.divide(damping, -4.0 * n, out=damping)
+    weighted = np.exp(damping, out=damping)
+    for wk in np.meshgrid(*([w] * (n - 1)), indexing="ij", sparse=True):
+        weighted *= wk
+    weighted = weighted.ravel()
+    x.setflags(write=False)
     weighted.setflags(write=False)
-    return pts, weighted
+    return x, weighted
 
 
 def _separable_delay_integral(
     x: np.ndarray, weighted: np.ndarray, freq: tuple[float, ...]
 ) -> complex:
-    """sum_p weighted[p] exp(-i freq . pts[p]) over the tensor grid on nodes x.
+    """sum_p weighted[p] exp(-i freq . tau_p) over the tensor grid on nodes x.
 
     The phase is a sum over the delays, so the sum is the weight tensor
     contracted with one phase vector exp(-i freq_k x) per delay.  The last
@@ -351,10 +343,10 @@ def scaled_amplitude_gaussian(
     if not 2 <= n <= 5:
         raise ValueError("supported rung counts are 2..5; use the resonant form "
                          "for N = 1 or time-domain quadrature otherwise")
-    kernel = GaussianKernel.from_detunings(detunings)
+    frequencies = _delay_frequencies(detunings)
     sigma = envelope.sigma
     tau = envelope.tau
-    osc = max(abs(f) for f in kernel.frequencies) / (n * sigma)
+    osc = max(abs(f) for f in frequencies) / (n * sigma)
     if osc > _OSCILLATION_BOUND:
         warnings.warn(
             f"oscillation rate {osc:.1f} exceeds the supported bound "
@@ -362,13 +354,13 @@ def scaled_amplitude_gaussian(
             AccuracyWarning,
             stacklevel=2,
         )
-    freq = tuple(f / (n * sigma) for f in kernel.frequencies)
+    freq = tuple(f / (n * sigma) for f in frequencies)
     prev = None
     result = None
     last_diff = math.inf
     for nodes in _NODE_LADDERS[n]:
-        pts, weighted = _delay_grid(n, nodes)
-        integral = _separable_delay_integral(pts[:nodes, -1], weighted, freq)
+        x, weighted = _delay_grid(n, nodes)
+        integral = _separable_delay_integral(x, weighted, freq)
         if prev is not None:
             last_diff = abs(integral - prev)
             if last_diff <= tol * max(abs(integral), 1e-12):
@@ -396,9 +388,9 @@ def gaussian_suppression_asymptote(detunings: Detunings, sigma: float) -> float:
     regime and raises if some D_k vanishes (degenerate direction).
     """
     n = detunings.n
-    kernel = GaussianKernel.from_detunings(detunings)
+    frequencies = _delay_frequencies(detunings)
     scale = max(abs(d) for d in detunings.deltas)
-    if any(abs(f) <= 1e-12 * max(scale, 1.0) for f in kernel.frequencies):
+    if any(abs(f) <= 1e-12 * max(scale, 1.0) for f in frequencies):
         raise ValueError(
             "a delay-oscillation frequency vanishes; the asymptote is invalid "
             "along that degenerate direction"
@@ -411,7 +403,7 @@ def gaussian_suppression_asymptote(detunings: Detunings, sigma: float) -> float:
             stacklevel=2,
         )
     prod = 1.0
-    for f in kernel.frequencies:
+    for f in frequencies:
         prod *= abs(f)
     return sigma ** (n - 1) * math.exp(-detunings.total**2 / (n * sigma**2)) / prod
 
@@ -500,4 +492,4 @@ def closed_form_amplitude(
             )
         except DegenerateCumulantsError:
             pass
-    return amplitude_time_quadrature(system, field, rwa=True, tol=min(tol, 1e-9))
+    return amplitude_time_quadrature(system, field, rwa=True, tol=tol)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import laddernoise.cli as cli_module
 import laddernoise.noise as noise_module
+import laddernoise.perturbation as perturbation_module
 from laddernoise import ConfigError, Evaluator
 from laddernoise.cli import (
     COMMON_DETUNING_PARAMETER,
@@ -391,6 +392,37 @@ class TestRunExperiment:
         )
         run_experiment(load_config(write_config(tmp_path, cfg_raw)))
         assert seen and set(seen) == {1e-5}
+
+    def test_closed_form_fallback_uses_configured_closed_form_tol(
+        self, tmp_path, monkeypatch
+    ):
+        # the Gaussian delay integral covers 2..5 rungs; six fall back to the
+        # time quadrature, which must run at the configured tolerance
+        seen = []
+        real = perturbation_module.amplitude_time_quadrature
+
+        def spy(system, field, rwa=True, tol=1e-9):
+            seen.append(tol)
+            return real(system, field, rwa=rwa, tol=tol)
+
+        monkeypatch.setattr(perturbation_module, "amplitude_time_quadrature", spy)
+        energies = [0.0, 60.0, 174.0, 336.0, 536.0, 786.0, 1096.0]
+        gaps = [b - a for a, b in zip(energies, energies[1:])]
+        deltas = [0.1, 0.3, 0.0, -0.2, 0.1, 0.2]
+        cfg_raw = minimal_config(
+            system={"energies": energies, "dipoles": [1.0] * 6},
+            field={
+                "envelope": {"kind": "gaussian", "tau": 1.0},
+                "components": [
+                    {"amplitude": 1.0, "phase": 0.0, "frequency": g + d}
+                    for g, d in zip(gaps, deltas)
+                ],
+            },
+            tolerances={"closed_form_tol": 1e-4},
+        )
+        record = run_experiment(load_config(write_config(tmp_path, cfg_raw)))
+        assert seen == [1e-4]
+        assert record.rows[0][-1] == "time-quadrature"
 
     def test_mc_optimizer_uses_configured_evaluator(self, tmp_path, monkeypatch):
         seen = []

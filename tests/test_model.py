@@ -171,7 +171,7 @@ class TestDetunings:
     )
     @settings(max_examples=200, deadline=None)
     def test_cumulant_round_trip(self, deltas):
-        det = Detunings.from_deltas(deltas)
+        det = Detunings(deltas)
         # forward identity: cumulants recomputable from the deltas
         recomputed = np.cumsum(det.deltas)
         assert np.max(np.abs(recomputed - np.asarray(det.cumulants))) < 1e-14

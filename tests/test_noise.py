@@ -32,6 +32,8 @@ from laddernoise import (
     strong_detuning_asymptote,
     transition_frequencies,
 )
+from laddernoise.noise import _PAIR_NODE_LADDERS, _pair_sum
+from laddernoise.perturbation import _delay_grid
 
 GAPS = (60.0, 114.0)
 
@@ -305,7 +307,34 @@ class TestFrequencyNoiseKernel:
             assert closed == pytest.approx(brute, rel=1e-8), f"trial {trial}"
 
 
+def direct_pair_sum(kernel, n, nodes):
+    """The level sum over an explicit grid of all (tau, tau') delay pairs."""
+    x, weighted = _delay_grid(n, nodes)
+    grids = np.meshgrid(*([x] * (n - 1)), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    m = pts.shape[0]
+    tau = np.repeat(pts, m, axis=0)
+    tau_p = np.tile(pts, (m, 1))
+    pair_weighted = np.outer(weighted, weighted).ravel()
+    return float(np.real(np.dot(pair_weighted, kernel.evaluate(tau, tau_p))))
+
+
 class TestFrequencyNoiseAverage:
+    # the first two levels of each ladder, and the first N=3 level whose
+    # pairs (576^2) span more than one block of rows
+    @pytest.mark.parametrize(
+        "n,nodes",
+        [(n, nodes) for n, ladder in _PAIR_NODE_LADDERS.items() for nodes in ladder[:2]]
+        + [(3, _PAIR_NODE_LADDERS[3][2])],
+    )
+    def test_level_sum_matches_direct_pair_sum(self, n, nodes):
+        sigma = GaussianEnvelope(1.0).sigma
+        d = (0.8, 1.2, 0.5)[:n]
+        delta_bar = tuple(f * sigma for f in (0.4, -0.7, 0.9)[:n])
+        kernel = FreqNoiseKernel(d, delta_bar, sigma)
+        direct = direct_pair_sum(kernel, n, nodes)
+        assert abs(_pair_sum(kernel, n, nodes) - direct) <= 1e-12 * abs(direct)
+
     def test_noiseless_limit(self):
         env = GaussianEnvelope(1.0)
         val = frequency_noise_average(env, (1e-3, 1e-3), (0.0, 0.0))
@@ -335,7 +364,7 @@ class TestFrequencyNoiseAverage:
         db = (4 * sig, 4 * sig)
         noisy = frequency_noise_average(env, (1.0, 1.0), db)
         noiseless = abs(
-            scaled_amplitude_gaussian(Detunings.from_deltas(db), env)
+            scaled_amplitude_gaussian(Detunings(db), env)
         ) ** 2
         assert noisy > noiseless
         # log enhancement tracks the averaged-exponent prediction
@@ -351,7 +380,7 @@ class TestFrequencyNoiseAverage:
         f = ControlField(
             tuple(PulseComponent(1.0, 0.0, w + 4 * sig) for w in wbar), env
         )
-        det = Detunings.from_deltas((4 * sig, 4 * sig))
+        det = Detunings((4 * sig, 4 * sig))
         noiseless = abs(scaled_amplitude_gaussian(det, env)) ** 2
         for d_sq in (0.5, 1.0, 2.0):
             noise = NoiseSpec.frequency_gaussian((math.sqrt(d_sq),) * 2, sig)

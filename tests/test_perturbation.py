@@ -12,7 +12,6 @@ from laddernoise import (
     DegenerateCumulantsError,
     Detunings,
     GaussianEnvelope,
-    GaussianKernel,
     LadderSystem,
     PulseComponent,
     RectangularEnvelope,
@@ -29,6 +28,8 @@ from laddernoise import (
 )
 from laddernoise.perturbation import (
     _NODE_LADDERS,
+    _damping_matrix,
+    _delay_frequencies,
     _delay_grid,
     _separable_delay_integral,
 )
@@ -121,7 +122,7 @@ class TestTimeQuadrature:
         deltas = (0.3 * sig, -0.2 * sig, 0.1 * sig)
         f = detuned_field(system, deltas, env)
         quad = amplitude_time_quadrature(system, f, rwa=True).scaled
-        closed = scaled_amplitude_gaussian(Detunings.from_deltas(deltas), env)
+        closed = scaled_amplitude_gaussian(Detunings(deltas), env)
         assert quad == pytest.approx(closed, rel=1e-6)
 
     def test_full_mode_matches_linear_response_n1(self):
@@ -150,7 +151,7 @@ class TestGaussianClosedForm:
     def test_resonant_reduction(self):
         env = GaussianEnvelope(1.0)
         for n in (2, 3, 4, 5):
-            val = scaled_amplitude_gaussian(Detunings.from_deltas((0.0,) * n), env)
+            val = scaled_amplitude_gaussian(Detunings((0.0,) * n), env)
             assert val == pytest.approx(
                 (1j) ** n / math.factorial(n), rel=1e-6
             ), f"N={n}"
@@ -159,7 +160,7 @@ class TestGaussianClosedForm:
         env = GaussianEnvelope(1.0)
         d = 0.5 * env.sigma
         for n in (2, 3):
-            val = scaled_amplitude_gaussian(Detunings.from_deltas((d,) * n), env)
+            val = scaled_amplitude_gaussian(Detunings((d,) * n), env)
             s = env.tau * math.exp(-(d**2) / env.sigma**2)
             assert val == pytest.approx(
                 (1j) ** n * s**n / math.factorial(n), rel=1e-7
@@ -171,7 +172,7 @@ class TestGaussianClosedForm:
         deltas = (0.4 * env.sigma, -0.1 * env.sigma)
         f = detuned_field(system, deltas, env)
         quad = amplitude_time_quadrature(system, f, rwa=True).scaled
-        closed = scaled_amplitude_gaussian(Detunings.from_deltas(deltas), env)
+        closed = scaled_amplitude_gaussian(Detunings(deltas), env)
         assert closed == pytest.approx(quad, rel=1e-6)
 
     def test_n5_matches_time_quadrature(self):
@@ -186,26 +187,26 @@ class TestGaussianClosedForm:
             ),
             env,
         )
-        closed = scaled_amplitude_gaussian(Detunings.from_deltas(deltas), env)
+        closed = scaled_amplitude_gaussian(Detunings(deltas), env)
         quad = amplitude_time_quadrature(system, f, rwa=True).scaled
         assert closed == pytest.approx(quad, rel=1e-5)
 
     def test_rejects_n_out_of_range(self):
         env = GaussianEnvelope(1.0)
         with pytest.raises(ValueError, match="2..5"):
-            scaled_amplitude_gaussian(Detunings.from_deltas((0.1,)), env)
+            scaled_amplitude_gaussian(Detunings((0.1,)), env)
 
     def test_rejects_rectangular_envelope(self):
         with pytest.raises(TypeError, match="Gaussian"):
             scaled_amplitude_gaussian(
-                Detunings.from_deltas((0.1, 0.2)), RectangularEnvelope(1.0)
+                Detunings((0.1, 0.2)), RectangularEnvelope(1.0)
             )
 
     def test_warns_on_fast_oscillation(self):
         env = GaussianEnvelope(1.0)
         deltas = (40 * env.sigma, -40 * env.sigma)
         with pytest.warns(AccuracyWarning):
-            scaled_amplitude_gaussian(Detunings.from_deltas(deltas), env)
+            scaled_amplitude_gaussian(Detunings(deltas), env)
 
 
 # exact binary fractions, so the zero-frequency case below is exactly zero
@@ -227,32 +228,42 @@ class TestSeparableDelayIntegral:
     )
     @pytest.mark.parametrize("zero_frequency", [False, True])
     def test_matches_direct_tensor_sum(self, n, nodes, zero_frequency):
-        kernel = GaussianKernel.from_detunings(
-            Detunings.from_deltas(_delay_deltas(n, zero_frequency))
-        )
-        assert (0.0 in kernel.frequencies) == zero_frequency
-        freq = tuple(f / (n * GaussianEnvelope(1.0).sigma) for f in kernel.frequencies)
-        pts, weighted = _delay_grid(n, nodes)
+        frequencies = _delay_frequencies(Detunings(_delay_deltas(n, zero_frequency)))
+        assert (0.0 in frequencies) == zero_frequency
+        freq = tuple(f / (n * GaussianEnvelope(1.0).sigma) for f in frequencies)
+        x, weighted = _delay_grid(n, nodes)
+        grids = np.meshgrid(*([x] * (n - 1)), indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)
         direct = complex(np.exp(-1j * (pts @ np.asarray(freq))) @ weighted)
-        separable = _separable_delay_integral(pts[:nodes, -1], weighted, freq)
+        separable = _separable_delay_integral(x, weighted, freq)
         assert abs(separable - direct) <= 1e-12 * abs(direct)
 
 
+class TestDelayGrid:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_caches_nodes_and_weights_only(self, n):
+        nodes = _NODE_LADDERS[n][0]
+        # nodes + nodes^(N-1) floats: no point array beside the weights
+        cached = _delay_grid(n, nodes)
+        assert [a.shape for a in cached] == [(nodes,), (nodes ** (n - 1),)]
+
+
 class TestGaussianKernel:
+    """Oscillation frequencies and damping form of the Gaussian delay integral."""
+
     def test_frequencies_vanish_for_equal_detunings(self):
-        kernel = GaussianKernel.from_detunings(Detunings.from_deltas((0.3,) * 4))
-        assert kernel.frequencies == pytest.approx((0.0,) * 3, abs=1e-12)
+        frequencies = _delay_frequencies(Detunings((0.3,) * 4))
+        assert frequencies == pytest.approx((0.0,) * 3, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_damping_form_positive_definite(self, n):
-        kernel = GaussianKernel.from_detunings(Detunings.from_deltas((0.1,) * n))
-        eigs = np.linalg.eigvalsh(kernel.quad_matrix)
+        eigs = np.linalg.eigvalsh(_damping_matrix(n))
         assert np.all(eigs > 0)
 
 
 class TestAsymptote:
     def test_no_suppression_when_total_detuning_vanishes(self):
-        det = Detunings.from_deltas((2.0, -2.0))
+        det = Detunings((2.0, -2.0))
         with pytest.warns(ValidityWarning):
             val = gaussian_suppression_asymptote(det, sigma=3.0)
         # Delta_N = 0 kills the exponent: pure sigma^(N-1)/prod|D_k|, D_1 = -4
@@ -260,8 +271,8 @@ class TestAsymptote:
 
     def test_quadratic_exponent_in_detuning_scale(self):
         sigma = 0.3
-        det1 = Detunings.from_deltas((5 * sigma, 3 * sigma))
-        det2 = Detunings.from_deltas((10 * sigma, 6 * sigma))
+        det1 = Detunings((5 * sigma, 3 * sigma))
+        det2 = Detunings((10 * sigma, 6 * sigma))
         v1 = gaussian_suppression_asymptote(det1, sigma)
         v2 = gaussian_suppression_asymptote(det2, sigma)
         # doubling all detunings quadruples the log suppression (up to the
@@ -271,7 +282,7 @@ class TestAsymptote:
         assert log_ratio == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_direction_rejected(self):
-        det = Detunings.from_deltas((0.3, 0.3))  # D_1 = 0
+        det = Detunings((0.3, 0.3))  # D_1 = 0
         with pytest.raises(ValueError, match="degenerate"):
             gaussian_suppression_asymptote(det, sigma=0.01)
 
@@ -279,7 +290,7 @@ class TestAsymptote:
         # log |scaled| vs 1/sigma^2 slope approaches -Delta_N^2/N
         base = 1.0
         deltas = (5.0 * base, 3.0 * base)
-        det = Detunings.from_deltas(deltas)
+        det = Detunings(deltas)
         sigmas = np.array([base / k for k in (2.0, 2.5, 3.0, 3.5, 4.0)])
         logs = []
         for s in sigmas:
@@ -293,14 +304,14 @@ class TestRectangularClosedForms:
     def test_distinct_matches_equal_when_cumulants_spread(self):
         # equal detunings produce distinct cumulants q*delta: both forms apply
         delta, T, n = 0.7, 3.0, 3
-        det = Detunings.from_deltas((delta,) * n)
+        det = Detunings((delta,) * n)
         a = scaled_amplitude_rect_distinct(det, T)
         b = scaled_amplitude_rect_equal(delta, T, n)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_n1_reduces_to_spectrum(self):
         delta, T = 0.9, 2.0
-        det = Detunings.from_deltas((delta,))
+        det = Detunings((delta,))
         a = scaled_amplitude_rect_distinct(det, T)
         b = scaled_amplitude_rect_equal(delta, T, 1)
         env = RectangularEnvelope(T)
@@ -311,7 +322,7 @@ class TestRectangularClosedForms:
     def test_short_pulse_limit(self):
         # value ~ T^N/N!; the residue sum cancels to it from O(1) terms, so
         # only ask for smallness down to well above float cancellation noise
-        det = Detunings.from_deltas((0.5, 1.1, 0.3))
+        det = Detunings((0.5, 1.1, 0.3))
         assert abs(scaled_amplitude_rect_distinct(det, 1e-3)) < 1e-9
 
     def test_n3_matches_time_quadrature(self):
@@ -320,11 +331,11 @@ class TestRectangularClosedForms:
         system = ladder(3)
         f = detuned_field(system, deltas, RectangularEnvelope(T))
         quad = amplitude_time_quadrature(system, f, rwa=True, tol=1e-11).scaled
-        closed = scaled_amplitude_rect_distinct(Detunings.from_deltas(deltas), T)
+        closed = scaled_amplitude_rect_distinct(Detunings(deltas), T)
         assert closed == pytest.approx(quad, rel=1e-8)
 
     def test_degenerate_cumulants_rejected(self):
-        det = Detunings.from_deltas((0.5, -0.5, 0.7))  # cumulants 0.5, 0.0, 0.7
+        det = Detunings((0.5, -0.5, 0.7))  # cumulants 0.5, 0.0, 0.7
         with pytest.raises(DegenerateCumulantsError):
             scaled_amplitude_rect_distinct(det, 2.0)
 
@@ -431,16 +442,16 @@ class TestClosedFormDispatch:
         # the Gaussian delay integral covers 2..5 rungs only
         system = LadderSystem((0.0, 60.0, 174.0, 336.0, 536.0, 786.0, 1096.0), (1.0,) * 6)
         f = detuned_field(system, (0.1, 0.3, 0.0, -0.2, 0.1, 0.2), GaussianEnvelope(1.0))
-        fallback = closed_form_amplitude(system, f)
+        fallback = closed_form_amplitude(system, f, tol=1e-7)
         assert fallback.method is AmplitudeMethod.TIME_QUADRATURE
-        assert fallback == amplitude_time_quadrature(system, f, rwa=True)
+        assert fallback == amplitude_time_quadrature(system, f, rwa=True, tol=1e-7)
 
     def test_degenerate_rect_fallback_is_consistent(self):
         system = ladder(2)
         renv = RectangularEnvelope(2.0)
         f = detuned_field(system, (0.5, -0.5), renv)
-        fallback = closed_form_amplitude(system, f)
-        direct = amplitude_time_quadrature(system, f, rwa=True)
+        fallback = closed_form_amplitude(system, f, tol=1e-7)
+        direct = amplitude_time_quadrature(system, f, rwa=True, tol=1e-7)
         assert fallback.scaled == pytest.approx(direct.scaled, rel=1e-10)
 
 
@@ -454,7 +465,7 @@ class TestMethodCrossAgreement:
             genv = GaussianEnvelope(tau)
             deltas = tuple(rng.uniform(-0.6, 0.6, n) * genv.sigma)
             f = detuned_field(system, deltas, genv)
-            det = Detunings.from_deltas(deltas)
+            det = Detunings(deltas)
             quad = amplitude_time_quadrature(system, f, rwa=True).scaled
             closed = scaled_amplitude_gaussian(det, genv)
             assert closed == pytest.approx(quad, rel=1e-6), f"gauss trial {trial}"
@@ -465,6 +476,6 @@ class TestMethodCrossAgreement:
             fr = detuned_field(system, deltas_r, renv)
             quad_r = amplitude_time_quadrature(system, fr, rwa=True).scaled
             closed_r = scaled_amplitude_rect_distinct(
-                Detunings.from_deltas(deltas_r), T
+                Detunings(deltas_r), T
             )
             assert closed_r == pytest.approx(quad_r, rel=1e-6), f"rect trial {trial}"
