@@ -43,6 +43,8 @@ from .noise import (
     NoiseSpec,
     Tolerances,
     UniformNoise,
+    check_seed,
+    draw_offsets,
     ensemble_average,
     single_shot,
 )
@@ -287,7 +289,7 @@ def _build_run(raw, fld, noise, evaluator, tolerances, problems) -> RunSpec | No
     sampled = rtype == "ensemble" or (rtype == "optimize" and observable != "analytic")
     if noise is not None and noise.active and sampled and "seed" not in run:
         problems.append("run.seed: required whenever noise is active")
-    seed = _guard(problems, "run.seed", _integer, run.get("seed", 0), 0)
+    seed = _guard(problems, "run.seed", lambda v: check_seed(_integer(v)), run.get("seed", 0))
     if rtype == "scan":
         param = run.get("parameter")
         if param != COMMON_DETUNING_PARAMETER:
@@ -312,8 +314,9 @@ def _build_run(raw, fld, noise, evaluator, tolerances, problems) -> RunSpec | No
         init = _guard(problems, "run.init", _floats, run.get("init"))
         if init is not None and fld is not None and len(init) != len(fld.components):
             problems.append("run.init: need one initial amplitude per field component")
+        least = len(fld.components) + 1 if fld is not None else 0  # one simplex
         max_evals = _guard(
-            problems, "run.max_evals", _integer, run.get("max_evals", 100_000), 0
+            problems, "run.max_evals", _integer, run.get("max_evals", 100_000), least
         )
         model = _guard(problems, "run.observable", ObservableModel, observable)
         objective = _guard(
@@ -323,7 +326,7 @@ def _build_run(raw, fld, noise, evaluator, tolerances, problems) -> RunSpec | No
                 float(run["target_yield"]),
                 float(run["fluence_weight"]),
                 model,
-                mc_samples=_integer(run.get("mc_samples", 2000)),
+                mc_samples=_integer(run.get("mc_samples", 2000), 2),
                 seed=seed,
                 tolerances=tolerances,
                 evaluator=evaluator,
@@ -448,7 +451,7 @@ def run_experiment(
     """Dispatch on the configured run type; rows are deterministic per seed."""
     run = config.run
     if seed_override is not None:
-        run = replace(run, seed=seed_override)
+        run = replace(run, seed=check_seed(seed_override))
     tolerances = config.tolerances
     converged = True
     started = time.perf_counter()
@@ -473,15 +476,13 @@ def run_experiment(
         stats = ensemble_average(
             config.system,
             config.field,
-            config.noise,
+            draw_offsets(config.noise, run.samples, run.seed),
             config.evaluator,
-            run.samples,
-            run.seed,
             target_index=config.target_index,
             tolerances=tolerances,
         )
         columns = ("mean", "std_error", "samples", "seed", "clamp_events")
-        rows = [(stats.mean, stats.std_error, stats.samples, stats.seed, stats.clamp_events)]
+        rows = [(stats.mean, stats.std_error, run.samples, run.seed, stats.clamp_events)]
 
     elif run.type == "optimize":
         trace: list = []
@@ -526,9 +527,7 @@ def run_experiment(
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer)):  # bool included
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return format(float(v), ".17g")
@@ -547,12 +546,8 @@ def _metadata(config: ExperimentConfig, record: RunRecord, reproduce: str) -> di
 
 def write_csv(path, config, record, reproduce: str) -> None:
     meta = _metadata(config, record, reproduce)
-    lines = []
-    for key in ("config_digest", "seed", "version"):
-        lines.append(f"# {key}={meta[key]}")
-    lines.append(
-        "# tolerances=" + json.dumps(meta["tolerances"], sort_keys=True)
-    )
+    lines = [f"# {key}={meta[key]}" for key in ("config_digest", "seed", "version")]
+    lines.append("# tolerances=" + json.dumps(meta["tolerances"], sort_keys=True))
     lines.append(f"# reproduce={reproduce}")
     lines.append(",".join(record.columns))
     for row in record.rows:
@@ -577,6 +572,13 @@ def write_json(path, config, record, reproduce: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _seed_argument(text: str) -> int:
+    try:
+        return check_seed(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="laddernoise",
@@ -587,7 +589,7 @@ def _make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--out", help="output path (overrides output.path)")
-        p.add_argument("--seed", type=int, help="seed override")
+        p.add_argument("--seed", type=_seed_argument, help="seed override")
         p.add_argument("--format", choices=("csv", "json"), dest="fmt")
     return parser
 

@@ -183,10 +183,6 @@ class ControlField:
         if len(self.components) < 1:
             raise ValueError("a control field needs at least one component")
 
-    @property
-    def amplitudes(self) -> tuple[float, ...]:
-        return tuple(c.amplitude for c in self.components)
-
     def value(self, t):
         """Real field E(t); accepts scalars or arrays."""
         t = np.asarray(t, dtype=float)

@@ -3,10 +3,10 @@
 Each laboratory shot draws independent zero-mean offsets for the component
 amplitudes, phases, and frequencies; the observable is the ensemble average
 of the single-shot yield.  Every run reduces to :func:`single_shot`, the one
-place that dispatches on the evaluator.  Sampling is deterministic: shot i
-uses its own counter-based stream keyed by (seed, i), and the reduction is a
-fixed-order pairwise tree, so a fixed (seed, samples) always gives the same
-bits.
+place that dispatches on the evaluator.  :func:`draw_offsets` draws an
+ensemble once into an offset table, row i from its own counter-based stream
+keyed by (seed, i), and the reduction is a fixed-order pairwise tree, so a
+fixed (seed, samples) gives the same bits however often the table is reused.
 """
 
 from __future__ import annotations
@@ -137,34 +137,56 @@ class NoiseSpec:
         )
 
 
+def check_seed(seed: int) -> int:
+    """``seed``, if it fits the uint64 key of the sample streams, else ``ValueError``."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def sample_stream(seed: int, sample_index: int) -> np.random.Generator:
     """Independent counter-based stream for one ensemble sample."""
+    check_seed(seed)
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, sample_index], dtype=np.uint64))
     )
 
 
-def sample_field(
-    nominal: ControlField, noise: NoiseSpec, rng: np.random.Generator
-) -> tuple[ControlField, int]:
-    """One noisy realization of ``nominal``; the nominal field is untouched.
+def draw_offsets(noise: NoiseSpec, samples: int, seed: int) -> np.ndarray:
+    """The (samples, M, 3) table of (amplitude, phase, frequency) shot offsets.
 
-    Sampled amplitudes are clamped at zero from below; the number of clamp
-    events is returned alongside the field so ensemble statistics can report
-    it.  (Uniform amplitude noise with half-width <= A never clamps.)
+    Row i draws from ``sample_stream(seed, i)``, component by component and
+    amplitude, phase, frequency within a component; a kind without noise
+    draws nothing and stores 0.0.  The table does not depend on the field.
     """
-    if len(noise.components) != len(nominal.components):
-        raise ValueError("noise spec length must match component count")
+    if samples < 2:
+        raise ValueError("need at least two samples")
+    table = np.zeros((samples, len(noise.components), 3))
+    for i in range(samples):
+        rng = sample_stream(seed, i)
+        for j, cn in enumerate(noise.components):
+            for k, dist in enumerate((cn.amplitude, cn.phase, cn.frequency)):
+                if dist is not None:
+                    table[i, j, k] = dist.sample(rng)
+    return table
+
+
+def sample_field(nominal: ControlField, row) -> tuple[ControlField, int]:
+    """The shot of ``nominal`` offset by one row of a :func:`draw_offsets` table.
+
+    ``row`` holds one (amplitude, phase, frequency) triple per component.
+    Amplitudes are clamped at zero from below; the number of clamp events is
+    returned alongside the field so ensemble statistics can report it.
+    (Uniform amplitude noise with half-width <= A never clamps.)
+    """
     clamped = 0
     comps = []
-    for comp, cn in zip(nominal.components, noise.components):
-        amp = comp.amplitude + (cn.amplitude.sample(rng) if cn.amplitude else 0.0)
+    for comp, (d_amp, d_phase, d_freq) in zip(nominal.components, row, strict=True):
+        amp = comp.amplitude + d_amp
         if amp < 0.0:
             amp = 0.0
             clamped += 1
-        phase = comp.phase + (cn.phase.sample(rng) if cn.phase else 0.0)
-        freq = comp.frequency + (cn.frequency.sample(rng) if cn.frequency else 0.0)
-        comps.append(PulseComponent(amp, phase, freq))
+        comps.append(PulseComponent(amp, comp.phase + d_phase, comp.frequency + d_freq))
     return ControlField(tuple(comps), nominal.envelope), clamped
 
 
@@ -186,8 +208,6 @@ class EnsembleStats:
 
     mean: float
     std_error: float
-    samples: int
-    seed: int
     clamp_events: int = 0
 
 
@@ -215,6 +235,11 @@ class Tolerances:
                 )
 
 
+def _check_target(system: LadderSystem, evaluator: Evaluator, target_index: int) -> None:
+    if evaluator is not Evaluator.TDSE and target_index != system.n_transitions:
+        raise ValueError("perturbative evaluators only produce the top-level yield; use tdse")
+
+
 def single_shot(
     system: LadderSystem,
     field: ControlField,
@@ -228,17 +253,13 @@ def single_shot(
     the top-rung transition amplitude for the perturbative evaluators, which
     only reach the top level.
     """
+    _check_target(system, evaluator, target_index)
     if evaluator is Evaluator.TDSE:
         spec = default_propagation_spec(
             field, tolerances.tdse_rel_tol, tolerances.tdse_abs_tol
         )
         state = propagate(system, field, spec)
         return population(state, target_index), state.coeffs[target_index], "tdse"
-    if target_index != system.n_transitions:
-        raise ValueError(
-            "perturbative evaluators only produce the top-level yield; use the "
-            "tdse evaluator for intermediate targets"
-        )
     if evaluator is Evaluator.PERTURB_TIME:
         amp = amplitude_time_quadrature(
             system, field, rwa=True, tol=tolerances.time_quad_tol
@@ -251,38 +272,38 @@ def single_shot(
 def ensemble_average(
     system: LadderSystem,
     nominal: ControlField,
-    noise: NoiseSpec,
+    offsets: np.ndarray,
     evaluator: Evaluator,
-    samples: int,
-    seed: int,
     target_index: int | None = None,
     tolerances: Tolerances = Tolerances(),
 ) -> EnsembleStats:
-    """Monte Carlo noise average of the yield over ``samples`` shots.
+    """Monte Carlo noise average of the yield over the shots of ``offsets``.
 
-    Deterministic for fixed (seed, samples): each shot draws from its own
-    (seed, index) stream, yields are stored by index, and the reduction is
-    the fixed pairwise tree.
+    ``offsets`` is a :func:`draw_offsets` table, one row per shot; a table
+    that does not fit ``nominal`` or a perturbative evaluator asked for an
+    intermediate target raises ``ValueError`` before any shot.  Yields are
+    stored by row and reduced by the fixed pairwise tree.
     """
-    if samples < 2:
-        raise ValueError("need at least two samples")
     if target_index is None:
         target_index = system.n_transitions
+    samples = len(offsets)
+    if samples < 2 or offsets.shape[1:] != (len(nominal.components), 3):
+        raise ValueError(f"need a (samples >= 2, M, 3) offset table, got {offsets.shape}")
+    _check_target(system, evaluator, target_index)
 
     yields = np.empty(samples, dtype=float)
     clamp_counts = np.zeros(samples, dtype=int)
     for i in range(samples):
         try:
-            fld, clamp_counts[i] = sample_field(nominal, noise, sample_stream(seed, i))
+            fld, clamp_counts[i] = sample_field(nominal, offsets[i].tolist())
             yields[i] = single_shot(system, fld, evaluator, target_index, tolerances)[0]
         except Exception as exc:  # annotate with the failing sample
             raise EnsembleEvaluationError(i, exc) from exc
 
     mean = pairwise_sum(yields) / samples
-    dev_sq = (yields - mean) ** 2
-    sample_var = pairwise_sum(dev_sq) / (samples - 1)
+    sample_var = pairwise_sum((yields - mean) ** 2) / (samples - 1)
     std_error = math.sqrt(sample_var / samples)
-    return EnsembleStats(mean, std_error, samples, seed, int(clamp_counts.sum()))
+    return EnsembleStats(mean, std_error, int(clamp_counts.sum()))
 
 
 # ---------------------------------------------------------------------------

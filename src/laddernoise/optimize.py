@@ -22,6 +22,7 @@ from .noise import (
     NoiseSpec,
     Tolerances,
     amplitude_noise_average,
+    draw_offsets,
     ensemble_average,
 )
 from .perturbation import closed_form_amplitude
@@ -49,8 +50,6 @@ class ObjectiveSpec:
             raise ValueError("target_yield must lie in (0, 1)")
         if not self.fluence_weight > 0.0:
             raise ValueError("fluence_weight must be positive")
-        if self.mc_samples < 2:
-            raise ValueError("mc_samples must be at least 2")
         analytic = self.observable is ObservableModel.ANALYTIC
         if analytic and self.evaluator is not Evaluator.CLOSED_FORM:
             # coupling^2 prod_l (A_l^2 + var_l) is the closed-form shot yield averaged
@@ -102,8 +101,9 @@ def yield_model(
 
     The analytic model handles amplitude noise in closed form and raises
     ``ValueError`` for frequency noise, which it cannot average; the MC model
-    reruns a fixed-seed ensemble of ``spec.evaluator`` shots per evaluation
-    (common random numbers, so the objective stays deterministic).
+    draws one fixed-seed offset table here and averages ``spec.evaluator``
+    shots over it per evaluation (common random numbers, so the objective
+    stays deterministic).
     """
     check_observable_noise(spec.observable, noise)
     if spec.observable is ObservableModel.ANALYTIC:
@@ -115,16 +115,12 @@ def yield_model(
 
         return analytic
 
+    offsets = draw_offsets(noise, spec.mc_samples, spec.seed)
+
     def monte_carlo(amps: np.ndarray) -> float:
         shifted = field.with_amplitudes(tuple(float(a) for a in amps))
         stats = ensemble_average(
-            system,
-            shifted,
-            noise,
-            spec.evaluator,
-            spec.mc_samples,
-            spec.seed,
-            tolerances=spec.tolerances,
+            system, shifted, offsets, spec.evaluator, tolerances=spec.tolerances
         )
         return stats.mean
 
@@ -164,6 +160,8 @@ def _nelder_mead(f, x0: np.ndarray, step, max_evals: int):
 
     ``step`` gives the absolute initial simplex offset per coordinate
     (scalar or array); trial points are clamped at zero before ``f`` sees them.
+    ``f`` runs at most ``max_evals`` times, which must cover the dim + 1
+    points of the first simplex.
     """
     dim = len(x0)
     steps = np.broadcast_to(np.asarray(step, dtype=float), (dim,))
@@ -171,6 +169,8 @@ def _nelder_mead(f, x0: np.ndarray, step, max_evals: int):
 
     def feval(x):
         nonlocal evals
+        if evals == max_evals:  # out of budget: infinitely bad, f is not called
+            return np.inf
         evals += 1
         return f(np.maximum(x, 0.0))
 
@@ -181,15 +181,15 @@ def _nelder_mead(f, x0: np.ndarray, step, max_evals: int):
         simplex.append(v)
     values = [feval(v) for v in simplex]
 
-    while evals < max_evals:
+    while True:
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        diam = max(
-            float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:]
-        )
+        diam = max(float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:])
         if diam < 1e-8 and values[-1] - values[0] < 1e-10:
             return simplex[0], values[0], evals, True
+        if evals == max_evals:
+            return simplex[0], values[0], evals, False
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
         reflected = centroid + _REFLECT * (centroid - worst)
@@ -210,11 +210,8 @@ def _nelder_mead(f, x0: np.ndarray, step, max_evals: int):
                 simplex[-1], values[-1] = contracted, fc
             else:
                 best = simplex[0]
-                simplex = [best] + [
-                    best + _SHRINK * (v - best) for v in simplex[1:]
-                ]
+                simplex = [best] + [best + _SHRINK * (v - best) for v in simplex[1:]]
                 values = [values[0]] + [feval(v) for v in simplex[1:]]
-    return simplex[0], values[0], evals, False
 
 
 def optimize_amplitudes(
@@ -229,10 +226,16 @@ def optimize_amplitudes(
     """Minimize the fluence-penalized objective over nominal amplitudes.
 
     Runs the projected simplex search from the initial amplitudes and from
-    scaled copies of them, keeping the best converged point; exact objective
-    ties are broken toward the lexicographically smallest amplitude vector so
-    symmetric problems return a reproducible answer.
+    scaled copies of them, keeping the best point; exact objective ties are
+    broken toward the lexicographically smallest amplitude vector so
+    symmetric problems return a reproducible answer.  Every objective
+    evaluation counts against one budget of ``max_evals``, which must cover
+    one simplex (M + 1 points); the search converged only if no stage ran
+    out of it.
     """
+    dim = len(init)
+    if max_evals < dim + 1:
+        raise ValueError(f"max_evals {max_evals} is below M + 1 = {dim + 1}, one simplex")
     model = yield_model(spec, system, field, noise)
 
     def f_u(u: np.ndarray) -> float:
@@ -244,29 +247,33 @@ def optimize_amplitudes(
         return val
 
     u_init = np.square(np.asarray(init, dtype=float))
-    starts = [u_init, 0.25 * u_init, 2.25 * u_init]
-    budget = max_evals // len(starts)
+    remaining = max_evals
+    converged = True
     best = None
-    total_evals = 0
-    for u0 in starts:
-        coarse = 0.25 * np.maximum(np.abs(u0), 0.1)
-        x, _, used, ok = _nelder_mead(f_u, u0, step=coarse, max_evals=budget)
-        # polish with a tighter simplex around the found point (never worsens)
-        fine = 0.01 * np.maximum(np.abs(x), 0.1)
-        x, fx, used2, ok2 = _nelder_mead(f_u, x, step=fine, max_evals=budget // 2)
-        total_evals += used + used2
-        ok = ok and ok2
+    for u0 in (u_init, 0.25 * u_init, 2.25 * u_init):
+        x, fx = u0, None
+        # a coarse search, then a tighter polish around its point (never worsens)
+        for scale in (0.25, 0.01):
+            if remaining < dim + 1:
+                converged = False
+                break
+            step = scale * np.maximum(np.abs(x), 0.1)
+            x, fx, used, ok = _nelder_mead(f_u, x, step, remaining)
+            remaining -= used
+            converged = converged and ok
+        if fx is None:
+            break
         amps = tuple(float(a) for a in np.sqrt(np.maximum(x, 0.0)))
         if best is None or fx < best[1] - 1e-14 or (
             abs(fx - best[1]) <= 1e-14 and amps < best[0]
         ):
-            best = (amps, fx, ok)
-    amps, fx, ok = best
+            best = (amps, fx)
+    amps, fx = best
     residual = verify_optimality_condition(amps, noise.amplitude_variances())
     return OptimizationResult(
         amplitudes=amps,
         objective=fx,
-        iterations=total_evals,
-        converged=ok,
+        iterations=max_evals - remaining,
+        converged=converged,
         condition_residual=residual,
     )

@@ -211,33 +211,6 @@ def amplitude_time_quadrature(
 # ---------------------------------------------------------------------------
 
 
-def amplitude_resonant(
-    system: LadderSystem, field: ControlField
-) -> TransitionAmplitude:
-    """Equal-detuning closed form: scaled amplitude i^N S(-delta)^N / N!.
-
-    All components must share a common detuning (exact resonance included).
-    """
-    det = detunings_for(system, field)
-    mean = sum(det.deltas) / det.n
-    spread = max(det.deltas) - min(det.deltas)
-    if spread > 1e-12 * max(1.0, abs(mean)):
-        raise ValueError(
-            f"detunings are not equal (spread {spread:.3e}); use the Gaussian "
-            "closed form or the time-domain quadrature"
-        )
-    scaled = _resonant_scaled(field, mean, det.n)
-    return TransitionAmplitude.from_scaled(
-        scaled, system, field, AmplitudeMethod.RESONANT_CLOSED_FORM
-    )
-
-
-def _resonant_scaled(field: ControlField, mean: float, n: int) -> complex:
-    """Equal-detuning scaled amplitude i^N S(-mean)^N / N!."""
-    s_val = complex(field.envelope.spectrum(-mean))
-    return (1j) ** n * s_val**n / math.factorial(n)
-
-
 def _delay_frequencies(detunings: Detunings) -> tuple[float, ...]:
     """Oscillation frequency ``k Delta_N - N Delta_k`` of each delay k = 1..N-1."""
     n = detunings.n
@@ -475,7 +448,8 @@ def closed_form_amplitude(
             scaled = scaled_amplitude_rect_equal(mean, field.envelope.duration, n)
             method = AmplitudeMethod.RECT_EQUAL
         else:
-            scaled = _resonant_scaled(field, mean, n)
+            s_val = complex(field.envelope.spectrum(-mean))
+            scaled = (1j) ** n * s_val**n / math.factorial(n)
             method = AmplitudeMethod.RESONANT_CLOSED_FORM
         return TransitionAmplitude.from_scaled(scaled, system, field, method)
     if isinstance(field.envelope, GaussianEnvelope):

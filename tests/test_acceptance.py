@@ -23,9 +23,9 @@ from laddernoise import (
     PulseComponent,
     RectangularEnvelope,
     Tolerances,
-    amplitude_resonant,
     amplitude_time_quadrature,
     closed_form_amplitude,
+    draw_offsets,
     ensemble_average,
     frequency_noise_average,
     optimize_amplitudes,
@@ -76,7 +76,7 @@ def test_01_resonant_closed_form_three_rungs():
     system = ladder((90.0, 171.0, 243.0))
     unit = field_for(system, env)  # mu_k A_k = 1
 
-    closed = amplitude_resonant(system, unit)
+    closed = closed_form_amplitude(system, unit)
     y_closed = transition_yield(closed, system, unit)
     ok = abs(y_closed - 1.0 / 36.0) <= 1e-12 / 36.0
 
@@ -86,7 +86,7 @@ def test_01_resonant_closed_form_three_rungs():
 
     # exact propagation with amplitudes scaled into the weak-field window
     weak = field_for(system, env, amplitudes=(0.04,) * 3)
-    predicted = transition_yield(amplitude_resonant(system, weak), system, weak)
+    predicted = transition_yield(closed_form_amplitude(system, weak), system, weak)
     assert predicted <= 1e-3
     state = propagate(system, weak, PropagationSpec(-8.0, 8.0, 1e-9, 1e-14))
     y_tdse = population(state, 3)
@@ -213,7 +213,7 @@ def test_05_amplitude_noise_cooperation():
     gamma = 0.3  # variance 0.03 = epsilon: <A^2>/A^2 = 1.03
     noise = NoiseSpec.amplitude_uniform((gamma, gamma))
     stats = ensemble_average(
-        system, f, noise, Evaluator.CLOSED_FORM, 100_000, seed=90
+        system, f, draw_offsets(noise, 100_000, 90), Evaluator.CLOSED_FORM
     )
     coupling = 0.5  # |i^2 tau^2/2| with tau = 1
     analytic = coupling**2 * (1.0 + gamma**2 / 3) ** 2
@@ -244,7 +244,7 @@ def test_06_phase_noise_nullity():
     # perturbative evaluator: the ensemble mean is bit-identical to noiseless
     y_pert = transition_yield(closed_form_amplitude(system, f), system, f)
     stats_pert = ensemble_average(
-        system, f, noise, Evaluator.CLOSED_FORM, 500, seed=7
+        system, f, draw_offsets(noise, 500, 7), Evaluator.CLOSED_FORM
     )
     ok = stats_pert.mean == y_pert
 
@@ -254,10 +254,8 @@ def test_06_phase_noise_nullity():
     stats_tdse = ensemble_average(
         system,
         f,
-        noise,
+        draw_offsets(noise, 1000, 7),
         Evaluator.TDSE,
-        1000,
-        seed=7,
         tolerances=Tolerances(tdse_rel_tol=1e-10, tdse_abs_tol=1e-13),
     )
     z = abs(stats_tdse.mean - y_exact) / stats_tdse.std_error
@@ -287,7 +285,7 @@ def test_07_frequency_noise_reversal():
     for d_sq in (0.25, 1.0, 4.0):
         noise = NoiseSpec.frequency_gaussian((math.sqrt(d_sq),) * 2, sig)
         stats = ensemble_average(
-            system, resonant, noise, Evaluator.CLOSED_FORM, 4000, seed=170
+            system, resonant, draw_offsets(noise, 4000, 170), Evaluator.CLOSED_FORM
         )
         hurt_ok &= stats.mean < y_res
 
@@ -297,7 +295,7 @@ def test_07_frequency_noise_reversal():
     y_det = transition_yield(closed_form_amplitude(system, detuned), system, detuned)
     noise = NoiseSpec.frequency_gaussian((1.0, 1.0), sig)
     stats = ensemble_average(
-        system, detuned, noise, Evaluator.CLOSED_FORM, 100_000, seed=171
+        system, detuned, draw_offsets(noise, 100_000, 171), Evaluator.CLOSED_FORM
     )
     help_ok = stats.mean > y_det
 

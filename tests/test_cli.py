@@ -724,3 +724,49 @@ class TestExitCodes:
         assert main(["shot", "--config", path, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "invalid configuration" in err and named in err
+
+    @pytest.mark.parametrize(
+        "run,named",
+        [
+            ({"type": "ensemble", "samples": 2, "seed": -1}, "run.seed"),
+            ({"type": "ensemble", "samples": 2, "seed": 2**64}, "run.seed"),
+            ({"type": "shot", "seed": 2**64}, "run.seed"),
+            (dict(OPTIMIZE_RUN, max_evals=2), "run.max_evals"),
+            (dict(OPTIMIZE_RUN, observable="mc", max_evals=0), "run.max_evals"),
+        ],
+    )
+    def test_out_of_range_run_value_is_listed(self, tmp_path, capsys, run, named):
+        path = write_config(tmp_path, minimal_config(run=run))
+        out = str(tmp_path / "o.csv")
+        assert main([run["type"], "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and named in err
+
+    @pytest.mark.parametrize("command", ["shot", "scan", "ensemble", "optimize", "validate"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
+    def test_out_of_range_seed_flag_exits_2(self, tmp_path, capsys, command, seed):
+        path = write_config(tmp_path, minimal_config())
+        out = str(tmp_path / "o.csv")
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", path, "--out", out, "--seed", seed])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("seed", [-5, 2**64])
+    def test_run_experiment_refuses_an_out_of_range_seed_override(self, tmp_path, seed):
+        # a shot ignores the seed, but the output would record it for reproduction
+        config = load_config(write_config(tmp_path, minimal_config()))
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            run_experiment(config, seed_override=seed)
+
+    def test_largest_seed_runs(self, tmp_path):
+        cfg = minimal_config(
+            noise={"components": [{"phase": {"dist": "uniform", "half_width": 0.1}}] * 2},
+            run={"type": "ensemble", "samples": 2, "seed": 2**64 - 1},
+        )
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "o.csv")
+        assert main(["ensemble", "--config", path, "--out", out, "--seed", str(2**64 - 1)]) == 0
+        with open(out, encoding="utf-8") as fh:
+            assert f"# seed={2**64 - 1}" in fh.read()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import laddernoise.noise as noise_module
 from laddernoise import (
     ComponentNoise,
     ControlField,
@@ -21,6 +22,7 @@ from laddernoise import (
     UniformNoise,
     ValidityWarning,
     amplitude_noise_average,
+    draw_offsets,
     ensemble_average,
     frequency_noise_average,
     frequency_noise_scaled,
@@ -65,10 +67,61 @@ class TestDistributions:
             GaussianNoise(-0.1)
 
 
+def reference_offsets(noise, samples, seed):
+    """Per-shot draws made the way the shot loop used to make them."""
+    rows = []
+    for i in range(samples):
+        rng = sample_stream(seed, i)
+        row = []
+        for cn in noise.components:
+            amp = cn.amplitude.sample(rng) if cn.amplitude else 0.0
+            phase = cn.phase.sample(rng) if cn.phase else 0.0
+            freq = cn.frequency.sample(rng) if cn.frequency else 0.0
+            row.append((amp, phase, freq))
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestDrawOffsets:
+    MIXED = NoiseSpec(
+        (
+            ComponentNoise(amplitude=UniformNoise(0.2), frequency=GaussianNoise(0.3)),
+            ComponentNoise(),
+            ComponentNoise(
+                amplitude=GaussianNoise(0.1),
+                phase=UniformNoise(0.5),
+                frequency=UniformNoise(0.4),
+            ),
+            ComponentNoise(phase=GaussianNoise(0.7)),
+        )
+    )
+
+    @pytest.mark.parametrize("seed", [0, 17, 2**64 - 1])
+    def test_matches_per_shot_draws_bit_for_bit(self, seed):
+        table = draw_offsets(self.MIXED, 64, seed)
+        assert table.shape == (64, 4, 3)
+        assert table.tobytes() == reference_offsets(self.MIXED, 64, seed).tobytes()
+        # kinds without noise draw nothing and store zeros
+        assert not table[:, 1].any() and not table[:, 0, 1].any()
+        assert not table[:, 3, 0].any() and not table[:, 3, 2].any()
+
+    def test_needs_two_samples(self):
+        with pytest.raises(ValueError, match="two samples"):
+            draw_offsets(self.MIXED, 1, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_stream_key_range_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            sample_stream(seed, 0)
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            draw_offsets(self.MIXED, 2, seed)
+
+
 class TestSampling:
     def test_all_none_noise_returns_nominal(self):
         f = resonant_field(ladder2(), (1.0, 1.0), GaussianEnvelope(1.0))
-        sampled, clamped = sample_field(f, NoiseSpec.quiet(2), sample_stream(1, 0))
+        row = draw_offsets(NoiseSpec.quiet(2), 2, 1)[0].tolist()
+        sampled, clamped = sample_field(f, row)
         assert sampled == f
         assert clamped == 0
 
@@ -78,9 +131,8 @@ class TestSampling:
         n = 100_000
         offsets = np.array(
             [
-                sample_field(f, noise, sample_stream(7, i))[0].components[0].amplitude
-                - 1.0
-                for i in range(n)
+                sample_field(f, row)[0].components[0].amplitude - 1.0
+                for row in draw_offsets(noise, n, 7).tolist()
             ]
         )
         std = 0.3 / math.sqrt(3)
@@ -101,28 +153,29 @@ class TestSampling:
             )
             * 2
         )
-        a = [sample_field(f, noise, sample_stream(99, i))[0] for i in range(50)]
-        b = [sample_field(f, noise, sample_stream(99, i))[0] for i in range(50)]
-        assert a == b
-        c = [sample_field(f, noise, sample_stream(100, i))[0] for i in range(50)]
-        assert a != c
+
+        def fields(seed):
+            return [sample_field(f, row)[0] for row in draw_offsets(noise, 50, seed).tolist()]
+
+        a = fields(99)
+        assert a == fields(99)
+        assert a != fields(100)
 
     def test_clamping_counts(self):
         f = resonant_field(ladder2(), (0.1, 0.1), GaussianEnvelope(1.0))
         noise = NoiseSpec.amplitude_uniform((1.0, 1.0))
-        clamps = sum(
-            sample_field(f, noise, sample_stream(3, i))[1] for i in range(500)
-        )
+        rows = draw_offsets(noise, 500, 3).tolist()
+        clamps = sum(sample_field(f, row)[1] for row in rows)
         # half-width 1.0 on A = 0.1: draws are negative ~45% of the time
         assert clamps > 300
-        for i in range(100):
-            fld, _ = sample_field(f, noise, sample_stream(3, i))
+        for row in rows[:100]:
+            fld, _ = sample_field(f, row)
             assert all(c.amplitude >= 0 for c in fld.components)
 
     def test_length_mismatch(self):
         f = resonant_field(ladder2(), (1.0, 1.0), GaussianEnvelope(1.0))
-        with pytest.raises(ValueError, match="length"):
-            sample_field(f, NoiseSpec.quiet(3), sample_stream(0, 0))
+        with pytest.raises(ValueError, match="longer"):
+            sample_field(f, [(0.0, 0.0, 0.0)] * 3)
 
 
 class TestPairwiseSum:
@@ -142,7 +195,7 @@ class TestEnsembleAverage:
         system = ladder2()
         f = resonant_field(system, (1.0, 1.0), GaussianEnvelope(1.0))
         stats = ensemble_average(
-            system, f, NoiseSpec.quiet(2), Evaluator.CLOSED_FORM, 10, seed=0
+            system, f, draw_offsets(NoiseSpec.quiet(2), 10, 0), Evaluator.CLOSED_FORM
         )
         assert stats.mean == pytest.approx(1.0 / 4.0, rel=1e-12)  # (tau^2/2)^2
         assert stats.std_error == 0.0
@@ -151,15 +204,13 @@ class TestEnsembleAverage:
         system = ladder2()
         f = resonant_field(system, (1.0, 1.0), GaussianEnvelope(1.0))
         noiseless = ensemble_average(
-            system, f, NoiseSpec.quiet(2), Evaluator.CLOSED_FORM, 2, seed=0
+            system, f, draw_offsets(NoiseSpec.quiet(2), 2, 0), Evaluator.CLOSED_FORM
         ).mean
         stats = ensemble_average(
             system,
             f,
-            NoiseSpec.phase_uniform((2.0, 3.0)),
+            draw_offsets(NoiseSpec.phase_uniform((2.0, 3.0)), 200, 11),
             Evaluator.CLOSED_FORM,
-            200,
-            seed=11,
         )
         assert stats.mean == noiseless  # bit-identical
         assert stats.std_error < 1e-12
@@ -171,7 +222,7 @@ class TestEnsembleAverage:
         f = resonant_field(system, (1.0, 1.0), GaussianEnvelope(1.0))
         noise = NoiseSpec.amplitude_uniform((0.3, 0.3))
         stats = ensemble_average(
-            system, f, noise, Evaluator.CLOSED_FORM, 100_000, seed=21
+            system, f, draw_offsets(noise, 100_000, 21), Evaluator.CLOSED_FORM
         )
         noiseless = 0.25
         ratio = stats.mean / noiseless
@@ -181,8 +232,8 @@ class TestEnsembleAverage:
         system = ladder2()
         f = resonant_field(system, (1.0, 1.0), GaussianEnvelope(1.0))
         noise = NoiseSpec.amplitude_uniform((0.2, 0.2))
-        a = ensemble_average(system, f, noise, Evaluator.CLOSED_FORM, 500, seed=5)
-        b = ensemble_average(system, f, noise, Evaluator.CLOSED_FORM, 500, seed=5)
+        a = ensemble_average(system, f, draw_offsets(noise, 500, 5), Evaluator.CLOSED_FORM)
+        b = ensemble_average(system, f, draw_offsets(noise, 500, 5), Evaluator.CLOSED_FORM)
         assert a == b
 
     def test_evaluator_failure_carries_sample_index(self):
@@ -193,29 +244,41 @@ class TestEnsembleAverage:
             (ComponentNoise(frequency=GaussianNoise(200.0)), ComponentNoise())
         )
         with pytest.raises(EnsembleEvaluationError, match=r"sample \d+"):
-            ensemble_average(system, f, noise, Evaluator.CLOSED_FORM, 400, seed=2)
+            ensemble_average(system, f, draw_offsets(noise, 400, 2), Evaluator.CLOSED_FORM)
 
-    def test_perturbative_evaluator_rejects_intermediate_target(self):
+    def test_perturbative_evaluator_rejects_intermediate_target(self, monkeypatch):
         system = ladder2()
         f = resonant_field(system, (1.0, 1.0), GaussianEnvelope(1.0))
-        with pytest.raises(EnsembleEvaluationError, match="top-level"):
+        shots = []
+        monkeypatch.setattr(noise_module, "sample_field", lambda *a: shots.append(a))
+        with pytest.raises(ValueError, match="top-level"):
             ensemble_average(
                 system,
                 f,
-                NoiseSpec.quiet(2),
+                draw_offsets(NoiseSpec.quiet(2), 4, 0),
                 Evaluator.CLOSED_FORM,
-                4,
-                seed=0,
                 target_index=1,
             )
+        assert shots == []  # refused before the first shot
+
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (4, 2, 2), (1, 2, 3), (4, 6)])
+    def test_offset_table_that_does_not_fit_is_rejected(self, monkeypatch, shape):
+        system = ladder2()
+        f = resonant_field(system, (1.0, 1.0), GaussianEnvelope(1.0))
+        shots = []
+        monkeypatch.setattr(noise_module, "sample_field", lambda *a: shots.append(a))
+        with pytest.raises(ValueError, match="offset table"):
+            ensemble_average(system, f, np.zeros(shape), Evaluator.CLOSED_FORM)
+        assert shots == []
 
     def test_perturb_time_evaluator_agrees_with_closed_form(self):
         system = ladder2()
         env = GaussianEnvelope(1.0)
         f = resonant_field(system, (0.8, 1.1), env)
         noise = NoiseSpec.frequency_gaussian((0.5, 0.5), env.sigma)
-        a = ensemble_average(system, f, noise, Evaluator.CLOSED_FORM, 40, seed=9)
-        b = ensemble_average(system, f, noise, Evaluator.PERTURB_TIME, 40, seed=9)
+        table = draw_offsets(noise, 40, 9)
+        a = ensemble_average(system, f, table, Evaluator.CLOSED_FORM)
+        b = ensemble_average(system, f, table, Evaluator.PERTURB_TIME)
         assert a.mean == pytest.approx(b.mean, rel=1e-5)
 
 
@@ -250,7 +313,7 @@ class TestAmplitudeNoiseAnalytic:
             halfw = tuple(rng.uniform(0.05, 0.3, n))
             noise = NoiseSpec.amplitude_uniform(halfw)
             stats = ensemble_average(
-                system, f, noise, Evaluator.CLOSED_FORM, 10_000, seed=trial
+                system, f, draw_offsets(noise, 10_000, trial), Evaluator.CLOSED_FORM
             )
             coupling = 1.0 / math.factorial(n)  # tau = 1, resonant
             expected = amplitude_noise_average(
@@ -354,7 +417,7 @@ class TestFrequencyNoiseAverage:
         f = resonant_field(system, (1.0, 1.0), env)
         noise = NoiseSpec.frequency_gaussian((1.0, 1.0), env.sigma)
         stats = ensemble_average(
-            system, f, noise, Evaluator.CLOSED_FORM, 10_000, seed=8
+            system, f, draw_offsets(noise, 10_000, 8), Evaluator.CLOSED_FORM
         )
         assert abs(stats.mean - analytic) < 3 * stats.std_error
 
@@ -385,7 +448,7 @@ class TestFrequencyNoiseAverage:
         for d_sq in (0.5, 1.0, 2.0):
             noise = NoiseSpec.frequency_gaussian((math.sqrt(d_sq),) * 2, sig)
             stats = ensemble_average(
-                system, f, noise, Evaluator.CLOSED_FORM, 2000, seed=int(10 * d_sq)
+                system, f, draw_offsets(noise, 2000, int(10 * d_sq)), Evaluator.CLOSED_FORM
             )
             assert stats.mean > noiseless, f"d^2={d_sq}"
 
@@ -462,7 +525,7 @@ class TestAntiresonanceSuppression:
             RectangularEnvelope(T),
         )
         noiseless = ensemble_average(
-            system, f, NoiseSpec.quiet(2), Evaluator.CLOSED_FORM, 2, seed=0
+            system, f, draw_offsets(NoiseSpec.quiet(2), 2, 0), Evaluator.CLOSED_FORM
         ).mean
         jitter = NoiseSpec(
             tuple(
@@ -471,7 +534,7 @@ class TestAntiresonanceSuppression:
             )
         )
         stats = ensemble_average(
-            system, f, jitter, Evaluator.CLOSED_FORM, 4000, seed=31
+            system, f, draw_offsets(jitter, 4000, 31), Evaluator.CLOSED_FORM
         )
         assert noiseless < 1e-24
         assert stats.mean > 100 * noiseless

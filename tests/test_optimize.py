@@ -1,10 +1,12 @@
 """Fluence-penalized amplitude optimization against brute-force oracles."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import laddernoise.noise as noise_module
 from laddernoise import (
     ComponentNoise,
     ControlField,
@@ -21,6 +23,11 @@ from laddernoise import (
     optimize_amplitudes,
     transition_frequencies,
     verify_optimality_condition,
+)
+from laddernoise.cli import load_config
+
+EXAMPLE = os.path.join(
+    os.path.dirname(__file__), "..", "docs", "examples", "noise_cooperation_optimize.json"
 )
 
 # resonant two-rung ladder with tau = sqrt(2): the scaled amplitude is
@@ -262,3 +269,60 @@ class TestOptimizeAmplitudes:
         assert len(trace) > 10
         amps, val = trace[0]
         assert len(amps) == 2 and val >= 0.0
+
+    def test_mc_observable_draws_its_table_once(self, monkeypatch):
+        system, field = setup_problem()
+        calls = []
+        real = noise_module.sample_stream
+        monkeypatch.setattr(
+            noise_module, "sample_stream", lambda *a: calls.append(a) or real(*a)
+        )
+        spec = ObjectiveSpec(0.1, 1e-3, ObservableModel.MC, mc_samples=16, seed=4)
+        trace = []
+        optimize_amplitudes(
+            spec,
+            system,
+            field,
+            NoiseSpec.amplitude_uniform((0.1, 0.1)),
+            init=(0.5, 0.5),
+            max_evals=60,
+            trace=trace,
+        )
+        assert len(trace) > 1
+        assert calls == [(4, i) for i in range(16)]
+
+
+class TestEvaluationBudget:
+    """``max_evals`` caps every objective evaluation of one optimize call."""
+
+    def run(self, max_evals):
+        config = load_config(EXAMPLE)
+        trace = []
+        result = optimize_amplitudes(
+            config.run.objective,
+            config.system,
+            config.field,
+            config.noise,
+            config.run.init,
+            max_evals=max_evals,
+            trace=trace,
+        )
+        return result, trace
+
+    @pytest.mark.parametrize("cap", [3, 4, 10, 30, 100, 300])
+    def test_never_exceeds_the_cap(self, cap):
+        result, trace = self.run(cap)
+        assert len(trace) <= cap
+        assert result.iterations == len(trace)
+        assert not result.converged
+
+    def test_converged_run_is_unchanged_by_a_cap_it_fits_in(self):
+        free, free_trace = self.run(100_000)
+        assert free.converged
+        capped, capped_trace = self.run(len(free_trace))
+        assert capped == free and capped_trace == free_trace
+
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_cap_below_one_simplex_is_refused(self, cap):
+        with pytest.raises(ValueError, match="M \\+ 1 = 3"):
+            self.run(cap)

@@ -13,7 +13,7 @@ from laddernoise import (
     PulseComponent,
     RectangularEnvelope,
     StateCoefficients,
-    amplitude_resonant,
+    closed_form_amplitude,
     default_propagation_spec,
     population,
     propagate,
@@ -163,7 +163,7 @@ class TestAgainstPerturbation:
         system = LadderSystem(energies, (1.0, 1.0, 1.0))
         env = GaussianEnvelope(1.0)
         f = resonant_field(system, 0.04, env)
-        predicted = transition_yield(amplitude_resonant(system, f), system, f)
+        predicted = transition_yield(closed_form_amplitude(system, f), system, f)
         spec = default_propagation_spec(f, rel_tol=1e-9, abs_tol=1e-14)
         y = population(propagate(system, f, spec), 3)
         assert y == pytest.approx(predicted, rel=0.01)
