@@ -27,7 +27,6 @@ from .model import (
     PulseComponent,
     RectangularEnvelope,
     detunings_for,
-    fluence,
     transition_frequencies,
 )
 from .noise import (
@@ -43,7 +42,6 @@ from .noise import (
     draw_offsets,
     ensemble_average,
     frequency_noise_average,
-    frequency_noise_scaled,
     pairwise_sum,
     rect_noise_limit,
     sample_field,
@@ -56,7 +54,6 @@ from .optimize import (
     ObservableModel,
     OptimizationResult,
     coupling_magnitude,
-    objective,
     optimize_amplitudes,
     verify_optimality_condition,
 )
@@ -116,11 +113,8 @@ __all__ = [
     "detunings_for",
     "draw_offsets",
     "ensemble_average",
-    "fluence",
     "frequency_noise_average",
-    "frequency_noise_scaled",
     "gaussian_suppression_asymptote",
-    "objective",
     "optimize_amplitudes",
     "pairwise_sum",
     "population",

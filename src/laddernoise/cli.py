@@ -13,6 +13,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -34,6 +35,7 @@ from .model import (
     LadderSystem,
     PulseComponent,
     RectangularEnvelope,
+    detunings_for,
     transition_frequencies,
 )
 from .noise import (
@@ -44,14 +46,17 @@ from .noise import (
     Tolerances,
     UniformNoise,
     check_seed,
+    check_target,
     draw_offsets,
     ensemble_average,
     single_shot,
 )
 from .optimize import (
+    DEFAULT_MAX_EVALS,
+    DEFAULT_MC_SAMPLES,
     ObjectiveSpec,
     ObservableModel,
-    check_observable_noise,
+    check_observable,
     optimize_amplitudes,
 )
 
@@ -76,7 +81,7 @@ class RunSpec:
     grid: tuple[float, ...] = ()
     samples: int = 0
     init: tuple[float, ...] = ()
-    max_evals: int = 100_000
+    max_evals: int = DEFAULT_MAX_EVALS
     objective: ObjectiveSpec | None = None
 
 
@@ -167,15 +172,20 @@ def _build_system(raw, problems) -> LadderSystem | None:
     return _guard(problems, "system", LadderSystem, energies, dipoles)
 
 
+_ENVELOPES = {
+    "gaussian": (GaussianEnvelope, "tau"),
+    "rectangular": (RectangularEnvelope, "duration"),
+}
+
+
 def _envelope(env) -> GaussianEnvelope | RectangularEnvelope:
     kind = env["kind"]
-    if kind == "gaussian":
-        return GaussianEnvelope(
-            float(env["tau"]), float(env.get("truncation_halfwidths", 8.0))
-        )
-    if kind == "rectangular":
-        return RectangularEnvelope(float(env["duration"]))
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in _ENVELOPES:
+        raise ValueError(f"unknown kind {kind!r}")
+    build, width = _ENVELOPES[kind]
+    if set(env) != {"kind", width}:
+        raise ValueError(f"a {kind} envelope takes just {width!r}, got keys {sorted(env)}")
+    return build(float(env[width]))
 
 
 def _component(c) -> PulseComponent:
@@ -252,6 +262,18 @@ def _output(out) -> tuple[str | None, str]:
     return path, fmt
 
 
+def _nonfinite(node, where=""):
+    """A violation per NaN or infinity below ``node``: ``json`` reads those and 1e999."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield f"{where}: {node!r} is not a finite number"
+    elif isinstance(node, dict):
+        for key, child in node.items():
+            yield from _nonfinite(child, f"{where}.{key}" if where else key)
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _nonfinite(child, f"{where}[{i}]")
+
+
 _PATH_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\[(\d+)\])?$")
 
 
@@ -316,7 +338,7 @@ def _build_run(raw, fld, noise, evaluator, tolerances, problems) -> RunSpec | No
             problems.append("run.init: need one initial amplitude per field component")
         least = len(fld.components) + 1 if fld is not None else 0  # one simplex
         max_evals = _guard(
-            problems, "run.max_evals", _integer, run.get("max_evals", 100_000), least
+            problems, "run.max_evals", _integer, run.get("max_evals", DEFAULT_MAX_EVALS), least
         )
         model = _guard(problems, "run.observable", ObservableModel, observable)
         objective = _guard(
@@ -326,14 +348,14 @@ def _build_run(raw, fld, noise, evaluator, tolerances, problems) -> RunSpec | No
                 float(run["target_yield"]),
                 float(run["fluence_weight"]),
                 model,
-                mc_samples=_integer(run.get("mc_samples", 2000), 2),
+                mc_samples=_integer(run.get("mc_samples", DEFAULT_MC_SAMPLES), 2),
                 seed=seed,
                 tolerances=tolerances,
                 evaluator=evaluator,
             ),
         )
-        if model is not None and noise is not None:
-            _guard(problems, "run.observable", check_observable_noise, model, noise)
+        if None not in (model, evaluator, noise):
+            _guard(problems, "run.observable", check_observable, model, evaluator, noise)
         return RunSpec(rtype, seed, init=init, max_evals=max_evals, objective=objective)
     return RunSpec(rtype, seed)
 
@@ -341,7 +363,8 @@ def _build_run(raw, fld, noise, evaluator, tolerances, problems) -> RunSpec | No
 def load_config(path: str) -> ExperimentConfig:
     """Parse the experiment file and build every value in it once.
 
-    Lists every violation found, not just the first.
+    Lists every violation found, not just the first; every number in the
+    file must be finite.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -355,7 +378,7 @@ def load_config(path: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["the top level must be an object"])
 
-    problems: list[str] = []
+    problems = list(_nonfinite(raw))
     warnings_list: list[str] = []
     system = _build_system(raw, problems)
     fld = _build_field(raw, problems)
@@ -375,17 +398,14 @@ def load_config(path: str) -> ExperimentConfig:
     if system is not None and target_index is not None:
         if target_index > top:
             problems.append("target: index out of range for this ladder")
-        elif target_index != top and evaluator is not Evaluator.TDSE:
-            problems.append("target: perturbative evaluators only produce the top level")
-        elif target_index != top and run is not None and run.type == "optimize":
-            problems.append("target: optimize runs average the top-level yield")
+        elif target_index != top:
+            _guard(problems, "target", check_target, system, evaluator, target_index)
+            if run is not None and run.type == "optimize":
+                problems.append("target: optimize runs average the top-level yield")
 
-    if system is not None and fld is not None and len(fld.components) != top:
-        if evaluator is not Evaluator.TDSE:
-            problems.append(
-                "evaluator: closed-form and perturb-time require one field "
-                "component per transition (M = N); only tdse accepts M != N"
-            )
+    if system is not None and fld is not None and evaluator is not Evaluator.TDSE:
+        # the perturbative evaluators pair component l with transition l
+        _guard(problems, "evaluator", detunings_for, system, fld)
 
     if problems:
         raise ConfigError(problems)

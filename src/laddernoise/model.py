@@ -20,6 +20,9 @@ import numpy as np
 
 TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
+# half-width of the Gaussian envelope's time-domain support, in units of tau
+GAUSSIAN_HALF_SUPPORT = 8.0
+
 
 @dataclass(frozen=True)
 class LadderSystem:
@@ -81,19 +84,16 @@ class GaussianEnvelope:
 
     The spectrum is S(omega) = tau exp(-omega^2 / sigma^2) with spectral
     width sigma = 2 sqrt(pi)/tau, so the effective duration S(0) equals tau
-    exactly.  Time-domain quadrature truncates the support to
-    ``+-truncation_halfwidths * tau`` (the tail beyond 8 tau is below
-    exp(-64 pi)).
+    exactly.  Time-domain quadrature truncates the support to +-8 tau
+    (``GAUSSIAN_HALF_SUPPORT``); the tail beyond it is below exp(-64 pi).
+    The width tau is the only parameter.
     """
 
     tau: float
-    truncation_halfwidths: float = 8.0
 
     def __post_init__(self):
         if not (self.tau > 0.0):
             raise ValueError("tau must be positive")
-        if not (self.truncation_halfwidths > 0.0):
-            raise ValueError("truncation_halfwidths must be positive")
 
     @property
     def sigma(self) -> float:
@@ -105,7 +105,7 @@ class GaussianEnvelope:
         return self.tau
 
     def support(self) -> tuple[float, float]:
-        h = self.truncation_halfwidths * self.tau
+        h = GAUSSIAN_HALF_SUPPORT * self.tau
         return (-h, h)
 
     def value(self, t):
@@ -220,11 +220,6 @@ class ControlField:
             for w, c in zip(frequencies, self.components)
         )
         return ControlField(comps, self.envelope)
-
-
-def fluence(amplitudes) -> float:
-    """Squared-amplitude budget sum_l A_l^2 of a component list."""
-    return float(sum(float(a) ** 2 for a in amplitudes))
 
 
 @dataclass(frozen=True)

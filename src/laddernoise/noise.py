@@ -73,15 +73,6 @@ class GaussianNoise:
 Distribution = UniformNoise | GaussianNoise
 
 
-def frequency_noise_scaled(d: float, sigma: float) -> GaussianNoise:
-    """Gaussian frequency jitter with dimensionless strength ``d``.
-
-    The detuning density has scale d * sigma (spectral width sigma of the
-    envelope), i.e. standard deviation d * sigma / sqrt(2).
-    """
-    return GaussianNoise(d * sigma / math.sqrt(2.0))
-
-
 @dataclass(frozen=True)
 class ComponentNoise:
     """Noise distributions for one pulse component (None = no noise)."""
@@ -116,9 +107,13 @@ class NoiseSpec:
 
     @classmethod
     def frequency_gaussian(cls, d_values, sigma: float) -> "NoiseSpec":
+        """Gaussian frequency jitter of strengths d_k: std d_k * sigma / sqrt(2).
+
+        ``sigma`` is the envelope's spectral width.
+        """
         return cls(
             tuple(
-                ComponentNoise(frequency=frequency_noise_scaled(d, sigma))
+                ComponentNoise(frequency=GaussianNoise(d * sigma / math.sqrt(2.0)))
                 for d in d_values
             )
         )
@@ -161,7 +156,10 @@ def draw_offsets(noise: NoiseSpec, samples: int, seed: int) -> np.ndarray:
     """
     if samples < 2:
         raise ValueError("need at least two samples")
+    check_seed(seed)
     table = np.zeros((samples, len(noise.components), 3))
+    if not noise.active:  # nothing to draw: no stream is opened
+        return table
     for i in range(samples):
         rng = sample_stream(seed, i)
         for j, cn in enumerate(noise.components):
@@ -235,7 +233,8 @@ class Tolerances:
                 )
 
 
-def _check_target(system: LadderSystem, evaluator: Evaluator, target_index: int) -> None:
+def check_target(system: LadderSystem, evaluator: Evaluator, target_index: int) -> None:
+    """Raise ``ValueError`` if ``evaluator`` cannot produce level ``target_index``."""
     if evaluator is not Evaluator.TDSE and target_index != system.n_transitions:
         raise ValueError("perturbative evaluators only produce the top-level yield; use tdse")
 
@@ -253,7 +252,7 @@ def single_shot(
     the top-rung transition amplitude for the perturbative evaluators, which
     only reach the top level.
     """
-    _check_target(system, evaluator, target_index)
+    check_target(system, evaluator, target_index)
     if evaluator is Evaluator.TDSE:
         spec = default_propagation_spec(
             field, tolerances.tdse_rel_tol, tolerances.tdse_abs_tol
@@ -289,7 +288,7 @@ def ensemble_average(
     samples = len(offsets)
     if samples < 2 or offsets.shape[1:] != (len(nominal.components), 3):
         raise ValueError(f"need a (samples >= 2, M, 3) offset table, got {offsets.shape}")
-    _check_target(system, evaluator, target_index)
+    check_target(system, evaluator, target_index)
 
     yields = np.empty(samples, dtype=float)
     clamp_counts = np.zeros(samples, dtype=int)
@@ -330,8 +329,8 @@ class FreqNoiseKernel:
     """Closed-form Gaussian average over jittered detunings.
 
     Built from the dimensionless noise strengths d_k, mean detunings, and the
-    envelope spectral width; ``b_matrix``/``b_inverse``/``det_b`` are the
-    quadratic-form data of the averaging integral, with
+    envelope spectral width; ``b_inverse``/``det_b`` are the quadratic-form
+    data of the averaging integral with B = diag(1/d_k^2) + 2/N, namely
 
         (B^-1)_kj = d_k^2 (delta_kj - 2 d_j^2 / (N (1 + 2 dbar^2))),
         det B     = (1 + 2 dbar^2) / prod d_k^2.
@@ -354,11 +353,6 @@ class FreqNoiseKernel:
     @property
     def d_sq_mean(self) -> float:
         return float(np.mean(np.square(self.d)))
-
-    @property
-    def b_matrix(self) -> np.ndarray:
-        d = np.asarray(self.d)
-        return np.diag(1.0 / d**2) + 2.0 / self.n
 
     @property
     def b_inverse(self) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ControlField, LadderSystem, fluence
+from .model import ControlField, LadderSystem
 from .noise import (
     Evaluator,
     NoiseSpec,
@@ -28,6 +28,10 @@ from .noise import (
 from .perturbation import closed_form_amplitude
 
 
+DEFAULT_MC_SAMPLES = 2000
+DEFAULT_MAX_EVALS = 100_000
+
+
 class ObservableModel(Enum):
     ANALYTIC = "analytic"
     MC = "mc"
@@ -35,12 +39,15 @@ class ObservableModel(Enum):
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Target yield, fluence weight, the averaged-yield model and its shot evaluator."""
+    """Target yield, fluence weight, the averaged-yield model and its shot evaluator.
+
+    :func:`yield_model` checks that the model fits the evaluator and the noise.
+    """
 
     target_yield: float
     fluence_weight: float
     observable: ObservableModel = ObservableModel.ANALYTIC
-    mc_samples: int = 2000
+    mc_samples: int = DEFAULT_MC_SAMPLES
     seed: int = 0
     tolerances: Tolerances = Tolerances()
     evaluator: Evaluator = Evaluator.CLOSED_FORM
@@ -50,10 +57,6 @@ class ObjectiveSpec:
             raise ValueError("target_yield must lie in (0, 1)")
         if not self.fluence_weight > 0.0:
             raise ValueError("fluence_weight must be positive")
-        analytic = self.observable is ObservableModel.ANALYTIC
-        if analytic and self.evaluator is not Evaluator.CLOSED_FORM:
-            # coupling^2 prod_l (A_l^2 + var_l) is the closed-form shot yield averaged
-            raise ValueError("observable analytic needs the closed-form evaluator; use mc")
 
 
 @dataclass(frozen=True)
@@ -76,15 +79,18 @@ def coupling_magnitude(
     return abs(amp.scaled * prod)
 
 
-def check_observable_noise(observable: ObservableModel, noise: NoiseSpec) -> None:
-    """Raise ``ValueError`` if ``observable`` cannot average ``noise``.
+def check_observable(observable: ObservableModel, evaluator: Evaluator, noise: NoiseSpec) -> None:
+    """Raise ``ValueError`` if ``observable`` cannot average ``evaluator`` shots under ``noise``.
 
-    The analytic observable averages amplitude noise only; phase noise leaves
-    the yield unchanged, but frequency noise would be ignored.
+    The analytic coupling^2 prod_l (A_l^2 + var_l) is the closed-form shot
+    yield averaged over amplitude noise only: phase noise leaves it unchanged,
+    frequency noise would be ignored.  The mc observable takes any of them.
     """
-    if observable is ObservableModel.ANALYTIC and any(
-        c.frequency is not None for c in noise.components
-    ):
+    if observable is not ObservableModel.ANALYTIC:
+        return
+    if evaluator is not Evaluator.CLOSED_FORM:
+        raise ValueError("observable analytic needs the closed-form evaluator; use mc")
+    if any(c.frequency is not None for c in noise.components):
         raise ValueError(
             "observable analytic averages amplitude noise only and would "
             "ignore the frequency noise; use mc"
@@ -99,13 +105,13 @@ def yield_model(
 ) -> Callable[[np.ndarray], float]:
     """Averaged-yield Obar as a function of the nominal amplitude vector.
 
-    The analytic model handles amplitude noise in closed form and raises
-    ``ValueError`` for frequency noise, which it cannot average; the MC model
-    draws one fixed-seed offset table here and averages ``spec.evaluator``
-    shots over it per evaluation (common random numbers, so the objective
-    stays deterministic).
+    Raises ``ValueError`` when :func:`check_observable` refuses the spec's
+    observable, evaluator and noise.  The analytic model handles amplitude
+    noise in closed form; the MC model draws one fixed-seed offset table here
+    and averages ``spec.evaluator`` shots over it per evaluation (common
+    random numbers, so the objective stays deterministic).
     """
-    check_observable_noise(spec.observable, noise)
+    check_observable(spec.observable, spec.evaluator, noise)
     if spec.observable is ObservableModel.ANALYTIC:
         coupling = coupling_magnitude(system, field, spec.tolerances.closed_form_tol)
         variances = noise.amplitude_variances()
@@ -125,21 +131,6 @@ def yield_model(
         return stats.mean
 
     return monte_carlo
-
-
-def objective(
-    amplitudes: Sequence[float],
-    spec: ObjectiveSpec,
-    system: LadderSystem,
-    field: ControlField,
-    noise: NoiseSpec,
-) -> float:
-    """J = (Obar - O_target)^2 + alpha * fluence."""
-    model = yield_model(spec, system, field, noise)
-    amps = np.asarray(amplitudes, dtype=float)
-    return (model(amps) - spec.target_yield) ** 2 + spec.fluence_weight * fluence(
-        amps
-    )
 
 
 def verify_optimality_condition(amplitudes, variances) -> float:
@@ -220,7 +211,7 @@ def optimize_amplitudes(
     field: ControlField,
     noise: NoiseSpec,
     init: Sequence[float],
-    max_evals: int = 100_000,
+    max_evals: int = DEFAULT_MAX_EVALS,
     trace: list | None = None,
 ) -> OptimizationResult:
     """Minimize the fluence-penalized objective over nominal amplitudes.
@@ -231,7 +222,8 @@ def optimize_amplitudes(
     symmetric problems return a reproducible answer.  Every objective
     evaluation counts against one budget of ``max_evals``, which must cover
     one simplex (M + 1 points); the search converged only if no stage ran
-    out of it.
+    out of it.  Each evaluation appends its (amplitudes, J) pair to ``trace``
+    when one is given, the first at ``init``.
     """
     dim = len(init)
     if max_evals < dim + 1:

@@ -725,6 +725,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "invalid configuration" in err and named in err
 
+    def test_envelope_truncation_is_not_a_setting(self, tmp_path, capsys):
+        cfg = minimal_config()
+        cfg["field"]["envelope"]["truncation_halfwidths"] = 8.0
+        path = write_config(tmp_path, cfg)
+        assert main(["shot", "--config", path, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert "field.envelope" in err and "truncation_halfwidths" in err
+
+    @pytest.mark.parametrize(
+        "site,literal,named",
+        [
+            (("field", "envelope", "tau"), "Infinity", "field.envelope.tau"),
+            (
+                ("field", "components", 1, "frequency"),
+                "Infinity",
+                "field.components[1].frequency",
+            ),
+            # json reads an overflowing literal as inf
+            (("system", "energies", 2), "1e999", "system.energies[2]"),
+            (("system", "dipoles", 0), "NaN", "system.dipoles[0]"),
+            (("field", "components", 0, "phase"), "NaN", "field.components[0].phase"),
+            (("run", "grid", 1), "Infinity", "run.grid[1]"),
+        ],
+    )
+    def test_non_finite_number_is_listed(self, tmp_path, capsys, site, literal, named):
+        cfg = replaced(minimal_config(run=SCAN_RUN), site, "@nonfinite@")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace('"@nonfinite@"', literal))
+        out = str(tmp_path / "o.csv")
+        assert main(["scan", "--config", str(path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert f"{named}: " in err and "not a finite number" in err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize(
         "run,named",
         [

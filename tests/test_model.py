@@ -15,7 +15,6 @@ from laddernoise import (
     PulseComponent,
     RectangularEnvelope,
     detunings_for,
-    fluence,
     transition_frequencies,
 )
 
@@ -64,7 +63,8 @@ class TestEnvelopes:
     def test_gaussian_area_equals_effective_duration(self):
         # quadrature of s(t) over the truncated support reproduces S(0)
         env = GaussianEnvelope(1.7)
-        t = np.linspace(-8 * env.tau, 8 * env.tau, 200001)
+        assert env.support() == (-8 * env.tau, 8 * env.tau)
+        t = np.linspace(*env.support(), 200001)
         area = np.trapezoid(env.value(t), t)
         assert area == pytest.approx(env.effective_duration, rel=1e-10)
 
@@ -138,14 +138,6 @@ class TestControlField:
         rebuilt = env.value(t) * (analytic + np.conj(analytic))
         assert np.max(np.abs(rebuilt.imag)) < 1e-12
         assert f.value(t) == pytest.approx(rebuilt.real, rel=1e-12, abs=1e-14)
-
-
-class TestFluence:
-    @pytest.mark.parametrize(
-        "amps,expected", [([0, 0], 0.0), ([1, 2], 5.0), ([0.3], 0.09)]
-    )
-    def test_values(self, amps, expected):
-        assert fluence(amps) == pytest.approx(expected, abs=1e-15)
 
 
 class TestDetunings:

@@ -25,7 +25,6 @@ from laddernoise import (
     draw_offsets,
     ensemble_average,
     frequency_noise_average,
-    frequency_noise_scaled,
     pairwise_sum,
     rect_noise_limit,
     sample_field,
@@ -56,9 +55,12 @@ class TestDistributions:
     def test_moments(self):
         assert UniformNoise(0.3).variance == pytest.approx(0.03)
         assert GaussianNoise(0.5).variance == pytest.approx(0.25)
-        assert frequency_noise_scaled(1.5, 2.0).std == pytest.approx(
-            1.5 * 2.0 / math.sqrt(2)
-        )
+        # strength d scales the jitter to d * sigma / sqrt(2)
+        spec = NoiseSpec.frequency_gaussian((1.5, 0.5), 2.0)
+        for k, d in enumerate((1.5, 0.5)):
+            assert spec.components[k].frequency.std == pytest.approx(
+                d * 2.0 / math.sqrt(2)
+            )
 
     def test_negative_widths_rejected(self):
         with pytest.raises(ValueError):
@@ -115,6 +117,19 @@ class TestDrawOffsets:
             sample_stream(seed, 0)
         with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
             draw_offsets(self.MIXED, 2, seed)
+
+    def test_quiet_spec_opens_no_stream(self, monkeypatch):
+        calls = []
+        real = noise_module.sample_stream
+        monkeypatch.setattr(
+            noise_module, "sample_stream", lambda *a: calls.append(a) or real(*a)
+        )
+        quiet = NoiseSpec.quiet(2)
+        table = draw_offsets(quiet, 100, 5)
+        assert calls == []
+        assert table.shape == (100, 2, 3) and not table.any()
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            draw_offsets(quiet, 2, -1)
 
 
 class TestSampling:
@@ -328,11 +343,10 @@ class TestFrequencyNoiseKernel:
         for n in (2, 3, 4):
             d = tuple(rng.uniform(0.3, 2.0, n))
             kern = FreqNoiseKernel(d, (0.0,) * n, sigma=2.0)
-            prod = kern.b_matrix @ kern.b_inverse
+            b = np.diag(1.0 / np.square(d)) + 2.0 / n
+            prod = b @ kern.b_inverse
             assert np.max(np.abs(prod - np.eye(n))) < 1e-10
-            assert kern.det_b == pytest.approx(
-                float(np.linalg.det(kern.b_matrix)), rel=1e-10
-            )
+            assert kern.det_b == pytest.approx(float(np.linalg.det(b)), rel=1e-10)
 
     def test_resonant_equal_delays_value(self):
         d = (0.7, 1.2)

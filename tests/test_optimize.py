@@ -19,12 +19,12 @@ from laddernoise import (
     PulseComponent,
     UniformNoise,
     coupling_magnitude,
-    objective,
     optimize_amplitudes,
     transition_frequencies,
     verify_optimality_condition,
 )
 from laddernoise.cli import load_config
+from laddernoise.optimize import yield_model
 
 EXAMPLE = os.path.join(
     os.path.dirname(__file__), "..", "docs", "examples", "noise_cooperation_optimize.json"
@@ -58,12 +58,23 @@ def grid_search(coupling, variances, target, weight, a_max=1.0, step=1e-3):
     return (a[idx[0]], a[idx[1]]), float(j[idx])
 
 
+def objective_at(init, spec, system, field, noise):
+    """J at ``init``: the first point the optimizer evaluates, from one simplex."""
+    trace = []
+    optimize_amplitudes(
+        spec, system, field, noise, init, max_evals=len(init) + 1, trace=trace
+    )
+    amps, val = trace[0]
+    assert amps == tuple(init)
+    return val
+
+
 class TestObjective:
     def test_arithmetic(self):
         system, field = setup_problem()
         spec = ObjectiveSpec(0.1, 0.01)
         # coupling = 1, zero noise: Obar = (A1 A2)^2
-        val = objective((1.0, 1.0), spec, system, field, NoiseSpec.quiet(2))
+        val = objective_at((1.0, 1.0), spec, system, field, NoiseSpec.quiet(2))
         assert val == pytest.approx((1.0 - 0.1) ** 2 + 0.01 * 2.0, rel=1e-9)
 
     def test_zero_when_noise_alone_reaches_target(self):
@@ -72,7 +83,7 @@ class TestObjective:
         noise = NoiseSpec.amplitude_uniform(
             (math.sqrt(3 * 0.5), math.sqrt(3 * 0.2))
         )
-        val = objective((0.0, 0.0), ObjectiveSpec(0.1, 0.01), system, field, noise)
+        val = objective_at((0.0, 0.0), ObjectiveSpec(0.1, 0.01), system, field, noise)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_negligible_yield_leaves_target_and_fluence_terms(self):
@@ -87,7 +98,9 @@ class TestObjective:
             ),
             env,
         )
-        val = objective((1.0, 1.0), ObjectiveSpec(0.1, 0.01), system, far, NoiseSpec.quiet(2))
+        val = objective_at(
+            (1.0, 1.0), ObjectiveSpec(0.1, 0.01), system, far, NoiseSpec.quiet(2)
+        )
         assert val == pytest.approx(0.03, rel=1e-9)
 
     def test_monotone_in_fluence_weight(self):
@@ -95,7 +108,7 @@ class TestObjective:
         noise = NoiseSpec.quiet(2)
         amps = (0.7, 0.4)
         vals = [
-            objective(amps, ObjectiveSpec(0.1, w), system, field, noise)
+            objective_at(amps, ObjectiveSpec(0.1, w), system, field, noise)
             for w in (1e-4, 1e-3, 1e-2, 1e-1)
         ]
         assert all(a < b for a, b in zip(vals, vals[1:]))
@@ -107,9 +120,18 @@ class TestObjective:
             ObjectiveSpec(0.1, 0.0)
 
     def test_analytic_observable_needs_the_closed_form_evaluator(self):
-        with pytest.raises(ValueError, match="closed-form evaluator"):
-            ObjectiveSpec(0.1, 0.01, evaluator=Evaluator.TDSE)
-        ObjectiveSpec(0.1, 0.01, ObservableModel.MC, evaluator=Evaluator.TDSE)
+        system, field = setup_problem()
+        noise = NoiseSpec.quiet(2)
+        for evaluator in (Evaluator.TDSE, Evaluator.PERTURB_TIME):
+            spec = ObjectiveSpec(0.1, 0.01, evaluator=evaluator)
+            with pytest.raises(ValueError, match="closed-form evaluator"):
+                optimize_amplitudes(spec, system, field, noise, init=(0.5, 0.5))
+            with pytest.raises(ValueError, match="closed-form evaluator"):
+                yield_model(spec, system, field, noise)
+        mc = ObjectiveSpec(
+            0.1, 0.01, ObservableModel.MC, mc_samples=2, evaluator=Evaluator.TDSE
+        )
+        yield_model(mc, system, field, noise)
 
     def test_analytic_observable_refuses_frequency_noise(self):
         system, field = setup_problem()
@@ -122,12 +144,11 @@ class TestObjective:
             with pytest.raises(ValueError, match="use mc"):
                 optimize_amplitudes(spec, system, field, noise, init=(0.5, 0.5))
             with pytest.raises(ValueError, match="use mc"):
-                objective((0.5, 0.5), spec, system, field, noise)
+                yield_model(spec, system, field, noise)
         # phase noise leaves |S| unchanged, so the analytic model still applies
-        phased = objective(
-            (0.5, 0.5), spec, system, field, NoiseSpec.phase_uniform((0.3, 0.3))
-        )
-        assert phased == objective((0.5, 0.5), spec, system, field, NoiseSpec.quiet(2))
+        amps = np.array([0.5, 0.5])
+        phased = yield_model(spec, system, field, NoiseSpec.phase_uniform((0.3, 0.3)))
+        assert phased(amps) == yield_model(spec, system, field, NoiseSpec.quiet(2))(amps)
 
     def test_coupling_magnitude(self):
         system, field = setup_problem()
@@ -164,9 +185,11 @@ class TestOptimizeAmplitudes:
         system, field = setup_problem()
         spec = ObjectiveSpec(0.1, 1e-3)
         noise = NoiseSpec.quiet(2)
-        init = (0.9, 0.2)
-        result = optimize_amplitudes(spec, system, field, noise, init=init)
-        assert result.objective <= objective(init, spec, system, field, noise)
+        trace = []
+        result = optimize_amplitudes(
+            spec, system, field, noise, init=(0.9, 0.2), trace=trace
+        )
+        assert result.objective <= trace[0][1]
 
     def test_three_rung_condition_residual(self):
         system = LadderSystem((0.0, 60.0, 174.0, 336.0), (1.0, 1.0, 1.0))
