@@ -77,8 +77,8 @@ class RunSpec:
 
     type: str
     seed: int = 0
-    parameter: str = ""
-    grid: tuple[float, ...] = ()
+    # a scan's (value, system, field) per grid value, built at load
+    points: tuple[tuple[float, LadderSystem, ControlField], ...] = ()
     samples: int = 0
     init: tuple[float, ...] = ()
     max_evals: int = DEFAULT_MAX_EVALS
@@ -87,7 +87,6 @@ class RunSpec:
 
 @dataclass
 class ExperimentConfig:
-    raw: dict
     digest: str
     system: LadderSystem
     field: ControlField
@@ -132,15 +131,22 @@ def _guard(problems: list[str], where: str, build, *args):
         return build(*args)
     except KeyError as exc:
         problems.append(f"{where}: missing {exc}")
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
         problems.append(f"{where}: {exc}")
     return None
+
+
+def _number(value) -> float:
+    """A JSON number as a float; float() would also take "nan", "1e999" and true."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"need a number, got {value!r}")
+    return float(value)
 
 
 def _floats(value) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise TypeError(f"need a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+    return tuple(_number(v) for v in value)
 
 
 def _integer(value, least: int | None = None) -> int:
@@ -185,12 +191,12 @@ def _envelope(env) -> GaussianEnvelope | RectangularEnvelope:
     build, width = _ENVELOPES[kind]
     if set(env) != {"kind", width}:
         raise ValueError(f"a {kind} envelope takes just {width!r}, got keys {sorted(env)}")
-    return build(float(env[width]))
+    return build(_number(env[width]))
 
 
 def _component(c) -> PulseComponent:
     return PulseComponent(
-        float(c["amplitude"]), float(c.get("phase", 0.0)), float(c["frequency"])
+        _number(c["amplitude"]), _number(c.get("phase", 0.0)), _number(c["frequency"])
     )
 
 
@@ -218,9 +224,9 @@ def _distribution(raw_dist):
         return None
     kind = raw_dist["dist"]
     if kind == "uniform":
-        return UniformNoise(float(raw_dist["half_width"]))
+        return UniformNoise(_number(raw_dist["half_width"]))
     if kind == "gaussian":
-        return GaussianNoise(float(raw_dist["std"]))
+        return GaussianNoise(_number(raw_dist["std"]))
     raise ValueError(f"unknown distribution {kind!r}")
 
 
@@ -301,7 +307,7 @@ def _assign_path(raw: dict, path: str, value) -> None:
         node[key][int(idx)] = value
 
 
-def _build_run(raw, fld, noise, evaluator, tolerances, problems) -> RunSpec | None:
+def _build_run(raw, system, fld, noise, evaluator, tolerances, problems) -> RunSpec | None:
     run = raw.get("run")
     if not isinstance(run, dict) or run.get("type") not in _RUN_TYPES:
         problems.append(f"run.type: must be one of {_RUN_TYPES}")
@@ -314,6 +320,7 @@ def _build_run(raw, fld, noise, evaluator, tolerances, problems) -> RunSpec | No
     seed = _guard(problems, "run.seed", lambda v: check_seed(_integer(v)), run.get("seed", 0))
     if rtype == "scan":
         param = run.get("parameter")
+        before = len(problems)
         if param != COMMON_DETUNING_PARAMETER:
             try:
                 _resolve_path(raw, param)
@@ -328,7 +335,27 @@ def _build_run(raw, fld, noise, evaluator, tolerances, problems) -> RunSpec | No
         grid = _guard(problems, "run.grid", _floats, run.get("grid"))
         if grid is not None and len(grid) < 2:
             problems.append("run.grid: scans need a grid of length >= 2")
-        return RunSpec(rtype, seed, parameter=param, grid=grid)
+        if len(problems) > before or system is None or fld is None:
+            return RunSpec(rtype, seed)
+        points = []
+        wbar = transition_frequencies(system)
+        for value in grid:
+            found: list[str] = []
+            if param == COMMON_DETUNING_PARAMETER:
+                point = (
+                    system,
+                    _guard(found, "field", fld.with_frequencies, [w + value for w in wbar]),
+                )
+            else:
+                # the parameter path lies in these two sections, so only they are copied
+                sections = copy.deepcopy({"system": raw["system"], "field": raw["field"]})
+                _guard(found, "run.parameter", _assign_path, sections, param, value)
+                point = (_build_system(sections, found), _build_field(sections, found))
+            if found:  # listed once: a path that cannot be assigned fails at every point
+                problems.append(f"scan point {value!r}: " + "; ".join(found))
+                break
+            points.append((value, *point))
+        return RunSpec(rtype, seed, points=tuple(points))
     if rtype == "ensemble":
         samples = _guard(problems, "run.samples", _integer, run.get("samples"), 2)
         return RunSpec(rtype, seed, samples=samples)
@@ -345,8 +372,8 @@ def _build_run(raw, fld, noise, evaluator, tolerances, problems) -> RunSpec | No
             problems,
             "run",
             lambda: ObjectiveSpec(
-                float(run["target_yield"]),
-                float(run["fluence_weight"]),
+                _number(run["target_yield"]),
+                _number(run["fluence_weight"]),
                 model,
                 mc_samples=_integer(run.get("mc_samples", DEFAULT_MC_SAMPLES), 2),
                 seed=seed,
@@ -391,7 +418,7 @@ def load_config(path: str) -> ExperimentConfig:
     )
     output = _guard(problems, "output", _output, raw.get("output") or {})
 
-    run = _build_run(raw, fld, noise, evaluator, tolerances, problems)
+    run = _build_run(raw, system, fld, noise, evaluator, tolerances, problems)
 
     top = system.n_transitions if system is not None else 0
     target_index = _guard(problems, "target", _integer, raw.get("target", top), 0)
@@ -424,7 +451,6 @@ def load_config(path: str) -> ExperimentConfig:
 
     output_path, output_format = output
     return ExperimentConfig(
-        raw=raw,
         digest=config_digest(raw),
         system=system,
         field=fld,
@@ -444,31 +470,10 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _scan_points(config: ExperimentConfig):
-    """Yield (value, system, field) per grid point, rebuilt from the raw file."""
-    param = config.run.parameter
-    wbar = transition_frequencies(config.system)
-    for value in config.run.grid:
-        problems: list[str] = []
-        if param == COMMON_DETUNING_PARAMETER:
-            system = config.system
-            fld = _guard(
-                problems, "field", config.field.with_frequencies, [w + value for w in wbar]
-            )
-        else:
-            raw = copy.deepcopy(config.raw)
-            _guard(problems, "run.parameter", _assign_path, raw, param, value)
-            system = _build_system(raw, problems)
-            fld = _build_field(raw, problems)
-        if problems:
-            raise ConfigError([f"scan point {value!r}: " + "; ".join(problems)])
-        yield value, system, fld
-
-
 def run_experiment(
     config: ExperimentConfig, seed_override: int | None = None
 ) -> RunRecord:
-    """Dispatch on the configured run type; rows are deterministic per seed."""
+    """Evaluate the run that :func:`load_config` built; rows are deterministic per seed."""
     run = config.run
     if seed_override is not None:
         run = replace(run, seed=check_seed(seed_override))
@@ -485,7 +490,7 @@ def run_experiment(
 
     elif run.type == "scan":
         rows = []
-        for value, system, fld in _scan_points(config):
+        for value, system, fld in run.points:
             y, c, method = single_shot(
                 system, fld, config.evaluator, config.target_index, tolerances
             )
@@ -504,7 +509,7 @@ def run_experiment(
         columns = ("mean", "std_error", "samples", "seed", "clamp_events")
         rows = [(stats.mean, stats.std_error, run.samples, run.seed, stats.clamp_events)]
 
-    elif run.type == "optimize":
+    else:  # optimize
         trace: list = []
         result = optimize_amplitudes(
             replace(run.objective, seed=run.seed),
@@ -533,9 +538,6 @@ def run_experiment(
             + (1, int(result.converged), result.condition_residual)
         )
         converged = result.converged
-
-    else:  # pragma: no cover - load_config rejects unknown types
-        raise ConfigError([f"run.type: unknown type {run.type!r}"])
 
     timings = {"total_s": time.perf_counter() - started}
     return RunRecord(config.digest, run.seed, tuple(columns), rows, timings, converged)
@@ -663,9 +665,6 @@ def main(argv=None) -> int:
 
     try:
         record = run_experiment(config, seed_override=args.seed)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except (
         QuadratureConvergenceError,
         IntegrationFailureError,

@@ -5,8 +5,9 @@ amplitudes, phases, and frequencies; the observable is the ensemble average
 of the single-shot yield.  Every run reduces to :func:`single_shot`, the one
 place that dispatches on the evaluator.  :func:`draw_offsets` draws an
 ensemble once into an offset table, row i from its own counter-based stream
-keyed by (seed, i), and the reduction is a fixed-order pairwise tree, so a
-fixed (seed, samples) gives the same bits however often the table is reused.
+keyed by (seed, i), and the reduction is a correctly rounded sum
+(``math.fsum``), so a fixed (seed, samples) gives the same bits however
+often the table is reused, and in whatever order its rows are.
 """
 
 from __future__ import annotations
@@ -188,16 +189,9 @@ def sample_field(nominal: ControlField, row) -> tuple[ControlField, int]:
     return ControlField(tuple(comps), nominal.envelope), clamped
 
 
-def pairwise_sum(values: np.ndarray) -> float:
-    """Fixed-order pairwise-tree reduction (bit-stable for a given array)."""
-    n = len(values)
-    if n <= 8:
-        total = 0.0
-        for v in values:
-            total += float(v)
-        return total
-    half = n // 2
-    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+def pairwise_sum(values) -> float:
+    """Correctly rounded sum (``math.fsum``), so the order of ``values`` does not matter."""
+    return math.fsum(values)
 
 
 @dataclass(frozen=True)
@@ -281,7 +275,7 @@ def ensemble_average(
     ``offsets`` is a :func:`draw_offsets` table, one row per shot; a table
     that does not fit ``nominal`` or a perturbative evaluator asked for an
     intermediate target raises ``ValueError`` before any shot.  Yields are
-    stored by row and reduced by the fixed pairwise tree.
+    stored by row and reduced by a correctly rounded sum.
     """
     if target_index is None:
         target_index = system.n_transitions

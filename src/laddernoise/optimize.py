@@ -109,7 +109,9 @@ def yield_model(
     observable, evaluator and noise.  The analytic model handles amplitude
     noise in closed form; the MC model draws one fixed-seed offset table here
     and averages ``spec.evaluator`` shots over it per evaluation (common
-    random numbers, so the objective stays deterministic).
+    random numbers, so the objective stays deterministic).  With quiet
+    ``noise`` every shot is the nominal field, so the table has two rows,
+    the least an ensemble takes.
     """
     check_observable(spec.observable, spec.evaluator, noise)
     if spec.observable is ObservableModel.ANALYTIC:
@@ -121,7 +123,7 @@ def yield_model(
 
         return analytic
 
-    offsets = draw_offsets(noise, spec.mc_samples, spec.seed)
+    offsets = draw_offsets(noise, spec.mc_samples if noise.active else 2, spec.seed)
 
     def monte_carlo(amps: np.ndarray) -> float:
         shifted = field.with_amplitudes(tuple(float(a) for a in amps))

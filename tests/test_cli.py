@@ -237,6 +237,33 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="run.init"):
             load_config(write_config(tmp_path, cfg, "o.json"))
 
+    def test_bad_scan_point_is_listed_beside_other_violations(self, tmp_path):
+        cfg = minimal_config(
+            tolerances={"time_quad_tol": -1}, run=dict(SCAN_RUN, grid=[0.0, -100.0])
+        )
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, cfg))
+        text = str(info.value)
+        assert "time_quad_tol" in text and "scan point -100.0" in text
+
+    def test_unassignable_scan_path_is_listed_once(self, tmp_path):
+        run = dict(SCAN_RUN, parameter="field.envelope.kind[0]", grid=[0.0, 1.0, 2.0])
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, minimal_config(run=run)))
+        assert len(info.value.violations) == 1
+        assert info.value.violations[0].startswith("scan point 0.0: run.parameter: ")
+
+    def test_path_scan_copies_only_system_and_field(self, tmp_path, monkeypatch):
+        copied = []
+        real = cli_module.copy.deepcopy
+        monkeypatch.setattr(
+            cli_module.copy, "deepcopy", lambda x, *a: copied.append(x) or real(x, *a)
+        )
+        run = dict(SCAN_RUN, parameter="field.components[0].frequency", grid=[59.0, 61.0])
+        record = run_experiment(load_config(write_config(tmp_path, minimal_config(run=run))))
+        assert len(record.rows) == 2 and copied
+        assert not any(isinstance(x, dict) and "run" in x for x in copied)
+
     def test_docs_examples_validate(self):
         for name in (
             "resonant_shot.json",
@@ -290,6 +317,17 @@ class TestRunExperiment:
         cfg = load_config(write_config(tmp_path, cfg_raw))
         ys = [r[1] for r in run_experiment(cfg).rows]
         assert ys[1] / ys[0] == pytest.approx(4.0, rel=1e-12)
+
+    def test_scan_builds_nothing_at_run_time(self, tmp_path, monkeypatch):
+        run = dict(SCAN_RUN, parameter="field.components[0].frequency", grid=[59.0, 61.0])
+        config = load_config(write_config(tmp_path, minimal_config(run=run)))
+        calls = []
+        real = cli_module._build_field
+        monkeypatch.setattr(
+            cli_module, "_build_field", lambda *a: calls.append(a) or real(*a)
+        )
+        assert [r[0] for r in run_experiment(config).rows] == [59.0, 61.0]
+        assert calls == []
 
     def test_tdse_shot_with_intermediate_target(self, tmp_path):
         cfg_raw = minimal_config(
@@ -531,6 +569,12 @@ class TestMain:
         assert self.run_main(["scan", "--config", path, "--out", out]) == 2
         assert "scan point -100.0" in capsys.readouterr().err
 
+    def test_validate_lists_a_bad_scan_point(self, tmp_path, capsys):
+        cfg = minimal_config(run=dict(SCAN_RUN, grid=[0.0, -100.0]))
+        assert self.run_main(["validate", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "scan point -100.0" in err
+
     def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch):
         shots = []
         real = cli_module.single_shot
@@ -759,6 +803,59 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "invalid configuration" in err
         assert f"{named}: " in err and "not a finite number" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "overrides,site,value,named",
+        [
+            ({}, ("field", "envelope", "tau"), "inf", "field.envelope"),
+            ({}, ("system", "dipoles", 1), "Infinity", "system.dipoles"),
+            ({}, ("field", "components", 0, "phase"), "nan", "field.components[0]"),
+            ({}, ("field", "components", 1, "frequency"), "1e999", "field.components[1]"),
+            ({}, ("field", "components", 0, "amplitude"), "1.0", "field.components[0]"),
+            ({}, ("field", "components", 0, "amplitude"), True, "field.components[0]"),
+            ({}, ("system", "energies", 1), "60", "system.energies"),
+            # json reads this literal as an int that no double holds
+            ({}, ("system", "energies", 2), 10**400, "system.energies"),
+            ({"run": SCAN_RUN}, ("run", "grid", 1), "2", "run.grid"),
+            ({"run": OPTIMIZE_RUN}, ("run", "init", 0), "0.5", "run.init"),
+            ({"run": OPTIMIZE_RUN}, ("run", "target_yield"), "0.1", "run: "),
+            (
+                {
+                    "noise": {
+                        "components": [{"amplitude": {"dist": "uniform", "half_width": 0.1}}, {}]
+                    },
+                    "run": {"type": "ensemble", "samples": 2, "seed": 1},
+                },
+                ("noise", "components", 0, "amplitude", "half_width"),
+                "0.1",
+                "noise.components[0]",
+            ),
+        ],
+        ids=[
+            "tau-inf",
+            "dipole-Infinity",
+            "phase-nan",
+            "frequency-1e999",
+            "amplitude-string",
+            "amplitude-true",
+            "energy-string",
+            "energy-int-overflow",
+            "grid-string",
+            "init-string",
+            "target_yield-string",
+            "half_width-string",
+        ],
+    )
+    def test_number_must_be_a_json_number(
+        self, tmp_path, capsys, overrides, site, value, named
+    ):
+        cfg = replaced(minimal_config(**overrides), site, value)
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "o.csv")
+        assert main([cfg["run"]["type"], "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and named in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(

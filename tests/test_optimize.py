@@ -314,6 +314,26 @@ class TestOptimizeAmplitudes:
         assert len(trace) > 1
         assert calls == [(4, i) for i in range(16)]
 
+    def test_quiet_mc_observable_runs_two_shots_per_evaluation(self, monkeypatch):
+        # without noise every shot is the nominal field
+        system, field = setup_problem()
+        calls = []
+        real = noise_module.single_shot
+        monkeypatch.setattr(
+            noise_module, "single_shot", lambda *a: calls.append(a) or real(*a)
+        )
+        trace = []
+        result = optimize_amplitudes(
+            ObjectiveSpec(0.1, 1e-3, ObservableModel.MC),
+            system,
+            field,
+            NoiseSpec.quiet(2),
+            init=(0.5, 0.5),
+            max_evals=20,
+            trace=trace,
+        )
+        assert len(calls) == 2 * len(trace) == 2 * result.iterations
+
 
 class TestEvaluationBudget:
     """``max_evals`` caps every objective evaluation of one optimize call."""
