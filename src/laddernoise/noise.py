@@ -254,9 +254,7 @@ def single_shot(
         state = propagate(system, field, spec)
         return population(state, target_index), state.coeffs[target_index], "tdse"
     if evaluator is Evaluator.PERTURB_TIME:
-        amp = amplitude_time_quadrature(
-            system, field, rwa=True, tol=tolerances.time_quad_tol
-        )
+        amp = amplitude_time_quadrature(system, field, tol=tolerances.time_quad_tol)
     else:
         amp = closed_form_amplitude(system, field, tol=tolerances.closed_form_tol)
     return transition_yield(amp, system, field), amp.value, amp.method.value

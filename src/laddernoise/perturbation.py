@@ -3,8 +3,9 @@
 The amplitude for climbing all N rungs is an N-fold time-ordered integral
 over the field.  This module evaluates it four ways:
 
-* nested time-ordered quadrature (any envelope, with or without the
-  rotating-wave reduction of each field component);
+* nested time-ordered quadrature (any envelope, rotating-wave reduction of
+  each field component) on Gauss-Legendre panels with a spectral
+  integration matrix;
 * the equal-detuning closed form ``i^N S(-delta)^N / N!``;
 * the Gaussian-envelope closed form, a damped oscillatory integral over the
   (N-1) inter-event delays;
@@ -41,7 +42,6 @@ from .model import (
     LadderSystem,
     RectangularEnvelope,
     detunings_for,
-    transition_frequencies,
 )
 
 # Oscillation bound for the Gaussian closed form: beyond |D_k|/(N sigma) of
@@ -103,68 +103,81 @@ def transition_yield(
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
-    """Running antiderivative of uniformly sampled y (odd length), O(h^4)."""
-    out = np.empty_like(y)
-    out[0] = 0.0
-    pair = (y[0:-2:2] + 4.0 * y[1::2] + y[2::2]) * (dx / 3.0)
-    even = np.concatenate((np.zeros(1, dtype=y.dtype), np.cumsum(pair)))
-    out[0::2] = even
-    # odd nodes: integral of the local quadratic over the first sub-interval
-    out[1::2] = even[:-1] + (5.0 * y[0:-2:2] + 8.0 * y[1::2] - y[2::2]) * (dx / 12.0)
-    return out
+# Gauss-Legendre nodes per panel of the time-ordered quadrature
+_PANEL_NODES = 16
+# total nodes at which the panel doubling gives up
+_MAX_NODES = 2**23 + 1
 
 
-def _nested_integral(legs, t0: float, t1: float, npts: int) -> complex:
-    """Innermost-first running antiderivatives of leg_k(t) * I_{k-1}(t)."""
-    t = np.linspace(t0, t1, npts)
-    dx = t[1] - t[0]
-    running = np.ones_like(t, dtype=complex)
-    for leg in legs:
-        running = _cumulative_simpson(leg(t) * running, dx)
-    return complex(running[-1])
+@lru_cache(maxsize=None)
+def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] and the integration matrix.
+
+    Row j of the matrix maps samples at the nodes to the integral from -1 to
+    node j of their interpolating polynomial: the samples go to Legendre
+    coefficients by the discrete orthogonality of the nodes, and each
+    Legendre polynomial is integrated exactly.
+    """
+    leg = np.polynomial.legendre
+    p = _PANEL_NODES
+    # Newton on P_p from its asymptotic roots rather than leggauss, whose
+    # eigenvalue solver pages in LAPACK: about 1 MB of resident memory
+    top = np.eye(p + 1)[p]
+    slope = leg.legder(top)
+    x = np.cos(np.pi * (np.arange(p, 0, -1) - 0.25) / (p + 0.5))
+    for _ in range(6):
+        x -= leg.legval(x, top) / leg.legval(x, slope)
+    w = 2.0 / ((1.0 - x * x) * leg.legval(x, slope) ** 2)
+    to_coef = leg.legvander(x, p - 1).T * w * (np.arange(p) + 0.5)[:, None]
+    matrix = leg.legvander(x, p) @ leg.legint(np.eye(p), lbnd=-1) @ to_coef
+    for a in (x, w, matrix):
+        a.setflags(write=False)
+    return x, w, matrix
 
 
-def _refined_nested(legs, t0, t1, n0, tol, scale) -> complex:
-    npts = n0
-    prev = _nested_integral(legs, t0, t1, npts)
-    floor = tol * 1e-4 * scale
-    err = math.inf
-    while True:
-        npts = 2 * npts - 1
-        if npts > 2**23 + 1:
-            raise QuadratureConvergenceError(
-                "time-ordered quadrature did not converge", achieved=err
-            )
-        cur = _nested_integral(legs, t0, t1, npts)
-        err = abs(cur - prev)
-        if err <= max(tol * abs(cur), floor):
-            # one Richardson step on the O(h^4) composite rule
-            return cur + (cur - prev) / 15.0
-        prev = cur
+def _panel_integral(env, deltas, t0: float, t1: float, panels: int) -> complex:
+    """Nested integral of prod_k s(t_k) exp(-i delta_k t_k) on equal panels.
 
-
-def _grid_points(span: float, density: float) -> int:
-    n = max(257, int(math.ceil(span * density)))
-    # round up to 2^k + 1 so halving/doubling stays aligned
-    k = max(8, int(math.ceil(math.log2(n - 1))))
-    return 2**k + 1
+    Each leg's running antiderivative is, inside a panel, the integration
+    matrix applied to the integrand; the carry, the running sum of the
+    earlier panels' totals, joins the panels.  Samples are laid out (node,
+    panel), so viewed as (re, im) pairs each panel is two real columns and
+    the real matrix and weights act by real matmuls.
+    """
+    x, w, matrix = _panel_rule()
+    half = (t1 - t0) / (2 * panels)
+    t = half * x[:, None] + (t0 + half * (2 * np.arange(panels) + 1))
+    s = env.value(t)
+    running = 1.0
+    for d in deltas:
+        g = (s * np.exp(-1j * d * t) * running).view(np.float64)
+        totals = (w @ g).view(np.complex128) * half
+        carry = np.cumsum(totals) - totals
+        running = (matrix @ g).view(np.complex128) * half + carry
+    return complex(carry[-1] + totals[-1])
 
 
 def amplitude_time_quadrature(
     system: LadderSystem,
     field: ControlField,
-    rwa: bool = True,
     tol: float = 1e-9,
 ) -> TransitionAmplitude:
-    """Transition amplitude by nested time-ordered quadrature.
+    """Transition amplitude by nested time-ordered quadrature on spectral panels.
 
-    With ``rwa`` set, each field component is reduced to its near-resonant
-    term when it multiplies its own transition, so leg k integrates
+    Each field component is reduced to its near-resonant term on its own
+    transition (the rotating-wave reduction), so leg k integrates
     ``s(t) exp(-i delta_k t)`` and the component prefactors are carried
-    analytically.  Without it, the full real field multiplies every leg and
-    all cross-component and counter-rotating pathways are retained; the grid
-    then resolves the fastest carrier with at least 40 points per period.
+    analytically; :func:`laddernoise.tdse.propagate` is the only path without
+    that reduction.
+
+    The support is cut into equal panels of 16 Gauss-Legendre nodes, each
+    integrated by a spectral integration matrix (Greengard 1991).  The
+    starting panel count gives 20 nodes per period of the fastest detuning
+    and 12 per envelope feature; it doubles until two successive values agree
+    to ``tol`` (relative, with an absolute floor of ``tol * 1e-4`` times the
+    resonant magnitude).  A grid past 2^23 + 1 nodes raises
+    :class:`QuadratureConvergenceError` before it is built, and so does a
+    first grid whose doubling would be.
 
     Requires one component per transition.
     """
@@ -172,38 +185,26 @@ def amplitude_time_quadrature(
     n = detunings.n
     env = field.envelope
     t0, t1 = env.support()
-    span = t1 - t0
     feature = env.tau if isinstance(env, GaussianEnvelope) else env.duration
-    scale = env.effective_duration**n / math.factorial(n)
-
-    if rwa:
-        density = 40.0 * max(abs(d) for d in detunings.deltas) / (2 * math.pi)
-        density = max(density, 24.0 / feature)
-        legs = [
-            (lambda t, d=d: env.value(t) * np.exp(-1j * d * t))
-            for d in detunings.deltas
-        ]
-        scaled = (1j) ** n * _refined_nested(
-            legs, t0, t1, _grid_points(span, density), tol, scale
-        )
-        return TransitionAmplitude.from_scaled(
-            scaled, system, field, AmplitudeMethod.TIME_QUADRATURE
-        )
-
-    wbar = transition_frequencies(system)
-    fmax = max(wbar) + max(c.frequency for c in field.components)
-    density = max(40.0 * fmax / (2 * math.pi), 24.0 / feature)
-    legs = [(lambda t, w=w: field.value(t) * np.exp(1j * w * t)) for w in wbar]
-    raw = (1j) ** n * _refined_nested(
-        legs, t0, t1, _grid_points(span, density), tol, scale
-    )
-    mu_prod = 1.0
-    for mu in system.dipoles:
-        mu_prod *= mu
-    value = raw * mu_prod
-    denom = _component_product(system, field)
-    scaled = value / denom if denom != 0.0 else complex("nan")
-    return TransitionAmplitude(value, scaled, AmplitudeMethod.TIME_QUADRATURE)
+    fastest = max(abs(d) for d in detunings.deltas)
+    nodes = (t1 - t0) * max(20.0 * fastest / (2 * math.pi), 12.0 / feature)
+    # a start past the cap, even an infinite one, fails the loop test below
+    panels = math.ceil(min(nodes, _MAX_NODES) / _PANEL_NODES)
+    floor = tol * 1e-4 * env.effective_duration**n / math.factorial(n)
+    prev = None
+    err = math.inf
+    # the first level runs only if the one it is compared with fits too
+    while _PANEL_NODES * panels * (2 if prev is None else 1) <= _MAX_NODES:
+        cur = _panel_integral(env, detunings.deltas, t0, t1, panels)
+        if prev is not None:
+            err = abs(cur - prev)
+            if err <= max(tol * abs(cur), floor):
+                return TransitionAmplitude.from_scaled(
+                    (1j) ** n * cur, system, field, AmplitudeMethod.TIME_QUADRATURE
+                )
+        prev = cur
+        panels *= 2
+    raise QuadratureConvergenceError("time-ordered quadrature did not converge", achieved=err)
 
 
 # ---------------------------------------------------------------------------
@@ -466,4 +467,4 @@ def closed_form_amplitude(
             )
         except DegenerateCumulantsError:
             pass
-    return amplitude_time_quadrature(system, field, rwa=True, tol=tol)
+    return amplitude_time_quadrature(system, field, tol=tol)

@@ -80,7 +80,7 @@ def test_01_resonant_closed_form_three_rungs():
     y_closed = transition_yield(closed, system, unit)
     ok = abs(y_closed - 1.0 / 36.0) <= 1e-12 / 36.0
 
-    quad = amplitude_time_quadrature(system, unit, rwa=True)
+    quad = amplitude_time_quadrature(system, unit)
     rel_quad = abs(quad.scaled - closed.scaled) / abs(closed.scaled)
     ok &= rel_quad < 1e-6
 
@@ -113,7 +113,7 @@ def test_02_rectangular_antiresonance():
     y_closed = transition_yield(closed_form_amplitude(system, unit), system, unit)
     ok = y_closed < 1e-24
 
-    y_quad = abs(amplitude_time_quadrature(system, unit, rwa=True).scaled) ** 2
+    y_quad = abs(amplitude_time_quadrature(system, unit).scaled) ** 2
     ok &= y_quad < 1e-10
 
     # the exact yield sits at the next-order floor: halving the amplitudes
@@ -153,7 +153,7 @@ def test_03_method_cross_agreement():
             deltas = tuple(rng.uniform(-0.6, 0.6, n) * genv.sigma)
             f = field_for(system, genv, deltas=deltas)
             a = scaled_amplitude_gaussian(Detunings(deltas), genv)
-            b = amplitude_time_quadrature(system, f, rwa=True).scaled
+            b = amplitude_time_quadrature(system, f).scaled
             worst = max(worst, abs(a - b) / abs(b))
             checks += 1
         elif trial % 4 == 2:  # rect residue sum vs time quadrature
@@ -161,7 +161,7 @@ def test_03_method_cross_agreement():
             deltas = tuple(rng.uniform(0.2, 1.2, n))
             f = field_for(system, RectangularEnvelope(T), deltas=deltas)
             a = scaled_amplitude_rect_distinct(Detunings(deltas), T)
-            b = amplitude_time_quadrature(system, f, rwa=True).scaled
+            b = amplitude_time_quadrature(system, f).scaled
             worst = max(worst, abs(a - b) / abs(b))
             checks += 1
         else:  # equal detunings: both rectangular forms and the quadrature
@@ -172,7 +172,7 @@ def test_03_method_cross_agreement():
             b = scaled_amplitude_rect_distinct(
                 Detunings((delta,) * n), T
             )
-            c = amplitude_time_quadrature(system, f, rwa=True).scaled
+            c = amplitude_time_quadrature(system, f).scaled
             worst = max(worst, abs(a - b) / abs(b), abs(a - c) / abs(c))
             checks += 2
     ok = worst < 1e-6

@@ -439,9 +439,9 @@ class TestRunExperiment:
         seen = []
         real = perturbation_module.amplitude_time_quadrature
 
-        def spy(system, field, rwa=True, tol=1e-9):
+        def spy(system, field, tol=1e-9):
             seen.append(tol)
-            return real(system, field, rwa=rwa, tol=tol)
+            return real(system, field, tol=tol)
 
         monkeypatch.setattr(perturbation_module, "amplitude_time_quadrature", spy)
         energies = [0.0, 60.0, 174.0, 336.0, 536.0, 786.0, 1096.0]
@@ -555,6 +555,18 @@ class TestMain:
         out = str(tmp_path / "o.csv")
         assert self.run_main(["ensemble", "--config", path, "--out", out]) == 3
         assert "sample" in capsys.readouterr().err
+
+    def test_quadrature_grid_beyond_node_cap_exit_code(self, tmp_path, capsys):
+        # the starting grid of a detuning of 1e6 is past the node cap, so the
+        # quadrature gives up before it builds anything
+        cfg = minimal_config(evaluator="perturb-time")
+        cfg["field"]["components"][1]["frequency"] = 114.0 + 1e6
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "o.csv")
+        assert self.run_main(["shot", "--config", path, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "time-ordered quadrature did not converge" in err
+        assert "Traceback" not in err
 
     def test_scan_to_nonpositive_frequency_exit_code(self, tmp_path, capsys):
         cfg = minimal_config(

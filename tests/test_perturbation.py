@@ -14,6 +14,7 @@ from laddernoise import (
     GaussianEnvelope,
     LadderSystem,
     PulseComponent,
+    QuadratureConvergenceError,
     RectangularEnvelope,
     ValidityWarning,
     amplitude_time_quadrature,
@@ -25,11 +26,14 @@ from laddernoise import (
     transition_frequencies,
     transition_yield,
 )
+import laddernoise.perturbation as perturbation_module
 from laddernoise.perturbation import (
     _NODE_LADDERS,
+    _PANEL_NODES,
     _damping_matrix,
     _delay_frequencies,
     _delay_grid,
+    _panel_rule,
     _separable_delay_integral,
 )
 
@@ -95,7 +99,7 @@ class TestTimeQuadrature:
         env = GaussianEnvelope(1.0)
         system = ladder(2)
         f = detuned_field(system, (0, 0), env, amplitudes=(0.0, 0.0))
-        amp = amplitude_time_quadrature(system, f, rwa=True)
+        amp = amplitude_time_quadrature(system, f)
         assert amp.value == 0
         # the scaled amplitude stays the resonant i^2 tau^2/2 regardless
         assert amp.scaled == pytest.approx(-0.5, rel=1e-9)
@@ -104,7 +108,7 @@ class TestTimeQuadrature:
         env = GaussianEnvelope(1.0)
         system = ladder(2)
         f = detuned_field(system, (0, 0), env)
-        amp = amplitude_time_quadrature(system, f, rwa=True)
+        amp = amplitude_time_quadrature(system, f)
         assert amp.scaled == pytest.approx(-0.5, rel=1e-9)
 
     def test_detuned_n3_matches_gaussian_closed_form(self):
@@ -113,30 +117,51 @@ class TestTimeQuadrature:
         sig = env.sigma
         deltas = (0.3 * sig, -0.2 * sig, 0.1 * sig)
         f = detuned_field(system, deltas, env)
-        quad = amplitude_time_quadrature(system, f, rwa=True).scaled
+        quad = amplitude_time_quadrature(system, f).scaled
         closed = scaled_amplitude_gaussian(Detunings(deltas), env)
         assert quad == pytest.approx(closed, rel=1e-6)
 
-    def test_full_mode_matches_linear_response_n1(self):
-        # first order is exactly i mu f(wbar), counter-rotating term included
-        env = GaussianEnvelope(1.5)
-        system = LadderSystem((0.0, 12.0), (0.8,))
-        f = ControlField((PulseComponent(0.3, 0.7, 11.5),), env)
-        amp = amplitude_time_quadrature(system, f, rwa=False, tol=1e-10)
-        expected = 1j * 0.8 * f.spectrum(12.0)
-        assert amp.value == pytest.approx(expected, rel=1e-8)
 
-    def test_full_mode_approaches_rwa_at_wide_spacing(self):
+class TestPanelRule:
+    @pytest.mark.parametrize("degree", range(_PANEL_NODES))
+    def test_matrix_integrates_polynomials_exactly(self, degree):
+        x, w, matrix = _panel_rule()
+        exact = (x ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
+        assert np.max(np.abs(matrix @ x**degree - exact)) <= 1e-14
+        total = (1.0 - (-1.0) ** (degree + 1)) / (degree + 1)
+        assert abs(w @ x**degree - total) <= 1e-14
+
+    @pytest.mark.parametrize("scale", [(4.0, -3.0, 2.0), (-6.0, 5.0, -3.0)])
+    def test_strongly_detuned_gaussian_matches_closed_form(self, scale):
+        # the fastest detuning, not the envelope, sets the starting panel count
         env = GaussianEnvelope(1.0)
-        system = ladder(2)
-        f = detuned_field(system, (0, 0), env, amplitudes=(0.1, 0.1))
-        full = amplitude_time_quadrature(system, f, rwa=False)
-        rwa = amplitude_time_quadrature(system, f, rwa=True)
-        # the swapped-pathway admixture enters the amplitude in quadrature
-        # (its phase is orthogonal on resonance), so the yield deviates only
-        # at second order in sigma / gap
-        ratio = abs(full.value) ** 2 / abs(rwa.value) ** 2
-        assert ratio - 1 == pytest.approx(0.0, abs=5 * (env.sigma / LADDER_GAPS[0]) ** 2)
+        deltas = tuple(k * env.sigma for k in scale)
+        f = detuned_field(ladder(3), deltas, env)
+        quad = amplitude_time_quadrature(ladder(3), f).scaled
+        closed = scaled_amplitude_gaussian(Detunings(deltas), env)
+        assert quad == pytest.approx(closed, rel=1e-6)
+
+    def test_strongly_detuned_rect_matches_residue_sum(self):
+        T = 4.0
+        deltas = (9.0, -7.0, 5.0)  # cumulants 9, 2, 7
+        f = detuned_field(ladder(3), deltas, RectangularEnvelope(T))
+        quad = amplitude_time_quadrature(ladder(3), f, tol=1e-11).scaled
+        closed = scaled_amplitude_rect_distinct(Detunings(deltas), T)
+        assert closed == pytest.approx(quad, rel=1e-8)
+
+    def test_repeat_calls_are_bit_identical(self):
+        f = detuned_field(ladder(3), (0.4, -1.3, 2.2), GaussianEnvelope(1.3))
+        first = amplitude_time_quadrature(ladder(3), f)
+        assert amplitude_time_quadrature(ladder(3), f) == first
+
+    def test_start_beyond_node_cap_raises_before_any_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(perturbation_module, "_panel_integral", no_grid)
+        f = detuned_field(ladder(2), (1e6, 0.0), GaussianEnvelope(1.0))
+        with pytest.raises(QuadratureConvergenceError):
+            amplitude_time_quadrature(ladder(2), f)
 
 
 class TestGaussianClosedForm:
@@ -163,7 +188,7 @@ class TestGaussianClosedForm:
         system = ladder(2)
         deltas = (0.4 * env.sigma, -0.1 * env.sigma)
         f = detuned_field(system, deltas, env)
-        quad = amplitude_time_quadrature(system, f, rwa=True).scaled
+        quad = amplitude_time_quadrature(system, f).scaled
         closed = scaled_amplitude_gaussian(Detunings(deltas), env)
         assert closed == pytest.approx(quad, rel=1e-6)
 
@@ -180,7 +205,7 @@ class TestGaussianClosedForm:
             env,
         )
         closed = scaled_amplitude_gaussian(Detunings(deltas), env)
-        quad = amplitude_time_quadrature(system, f, rwa=True).scaled
+        quad = amplitude_time_quadrature(system, f).scaled
         assert closed == pytest.approx(quad, rel=1e-5)
 
     def test_rejects_n_out_of_range(self):
@@ -322,7 +347,7 @@ class TestRectangularClosedForms:
         deltas = (0.9, 0.8, 0.5)  # cumulants 0.9, 1.7, 2.2
         system = ladder(3)
         f = detuned_field(system, deltas, RectangularEnvelope(T))
-        quad = amplitude_time_quadrature(system, f, rwa=True, tol=1e-11).scaled
+        quad = amplitude_time_quadrature(system, f, tol=1e-11).scaled
         closed = scaled_amplitude_rect_distinct(Detunings(deltas), T)
         assert closed == pytest.approx(quad, rel=1e-8)
 
@@ -346,7 +371,7 @@ class TestRectangularClosedForms:
         system = ladder(2)
         delta = 2 * math.pi * k / T
         f = detuned_field(system, (delta, delta), RectangularEnvelope(T))
-        amp = amplitude_time_quadrature(system, f, rwa=True)
+        amp = amplitude_time_quadrature(system, f)
         assert abs(amp.scaled) ** 2 < 1e-10
 
     def test_equal_detuning_zero_limit(self):
@@ -385,8 +410,8 @@ class TestPhaseAndAmplitudeStructure:
         system = ladder(2)
         base = detuned_field(system, (0.5, -0.1), env)
         shifted = detuned_field(system, (0.5, -0.1), env, phases=(0.9, 0.4))
-        a0 = amplitude_time_quadrature(system, base, rwa=True)
-        a1 = amplitude_time_quadrature(system, shifted, rwa=True)
+        a0 = amplitude_time_quadrature(system, base)
+        a1 = amplitude_time_quadrature(system, shifted)
         assert abs(a0.value) == pytest.approx(abs(a1.value), rel=1e-10)
 
     @pytest.mark.parametrize("index", [0, 1, 2])
@@ -436,14 +461,14 @@ class TestClosedFormDispatch:
         f = detuned_field(system, (0.1, 0.3, 0.0, -0.2, 0.1, 0.2), GaussianEnvelope(1.0))
         fallback = closed_form_amplitude(system, f, tol=1e-7)
         assert fallback.method is AmplitudeMethod.TIME_QUADRATURE
-        assert fallback == amplitude_time_quadrature(system, f, rwa=True, tol=1e-7)
+        assert fallback == amplitude_time_quadrature(system, f, tol=1e-7)
 
     def test_degenerate_rect_fallback_is_consistent(self):
         system = ladder(2)
         renv = RectangularEnvelope(2.0)
         f = detuned_field(system, (0.5, -0.5), renv)
         fallback = closed_form_amplitude(system, f, tol=1e-7)
-        direct = amplitude_time_quadrature(system, f, rwa=True, tol=1e-7)
+        direct = amplitude_time_quadrature(system, f, tol=1e-7)
         assert fallback.scaled == pytest.approx(direct.scaled, rel=1e-10)
 
 
@@ -458,7 +483,7 @@ class TestMethodCrossAgreement:
             deltas = tuple(rng.uniform(-0.6, 0.6, n) * genv.sigma)
             f = detuned_field(system, deltas, genv)
             det = Detunings(deltas)
-            quad = amplitude_time_quadrature(system, f, rwa=True).scaled
+            quad = amplitude_time_quadrature(system, f).scaled
             closed = scaled_amplitude_gaussian(det, genv)
             assert closed == pytest.approx(quad, rel=1e-6), f"gauss trial {trial}"
 
@@ -466,7 +491,7 @@ class TestMethodCrossAgreement:
             renv = RectangularEnvelope(T)
             deltas_r = tuple(rng.uniform(0.2, 1.2, n))
             fr = detuned_field(system, deltas_r, renv)
-            quad_r = amplitude_time_quadrature(system, fr, rwa=True).scaled
+            quad_r = amplitude_time_quadrature(system, fr).scaled
             closed_r = scaled_amplitude_rect_distinct(
                 Detunings(deltas_r), T
             )
