@@ -672,6 +672,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OverflowError as exc:  # a finite but huge setting, raised to a power
+        print(f"numerical failure: overflow: {exc}", file=sys.stderr)
+        return 3
 
     reproduce = (
         f"laddernoise {args.command} --config {args.config} "

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AccuracyWarning, EnsembleEvaluationError, ValidityWarning
+from .errors import EnsembleEvaluationError, ValidityWarning
 from .model import (
     ControlField,
     GaussianEnvelope,
@@ -28,6 +28,7 @@ from .model import (
 )
 from .perturbation import (
     _delay_grid,
+    _refine,
     amplitude_time_quadrature,
     closed_form_amplitude,
     transition_yield,
@@ -414,35 +415,23 @@ def frequency_noise_average(
     Evaluates the 2(N-1)-dimensional delay integral with the closed-form
     kernel by tensor quadrature, including the tau^{2N} / ((4 pi)^{N-1} N)
     scale.  Each level of the node ladder sums the kernel over all pairs of
-    points of the single-amplitude delay grid (``_pair_sum``).  Larger
-    ladders should use the Monte Carlo path (the observable is itself an
-    expectation value).
+    points of the single-amplitude delay grid (``_pair_sum``); levels are
+    refined until two agree to ``tol`` (relative), and a ladder that runs out
+    first raises :class:`QuadratureConvergenceError`.  Larger ladders should
+    use the Monte Carlo path (the observable is itself an expectation value).
     """
     if not isinstance(envelope, GaussianEnvelope):
         raise TypeError("frequency-noise averaging requires a Gaussian envelope")
-    n = len(tuple(d))
+    d = tuple(d)
+    n = len(d)
     if n not in (2, 3):
         raise ValueError(
             "analytic frequency-noise averaging supports N in {2, 3}; use the "
             "Monte Carlo ensemble for larger ladders"
         )
-    kernel = FreqNoiseKernel(tuple(d), tuple(delta_bar), envelope.sigma)
-    prev = None
-    value = None
-    for nodes in _PAIR_NODE_LADDERS[n]:
-        total = _pair_sum(kernel, n, nodes)
-        if prev is not None and abs(total - prev) <= tol * max(abs(total), 1e-300):
-            value = total
-            break
-        prev = total
-    if value is None:
-        warnings.warn(
-            "delay-pair quadrature hit its node cap before the requested "
-            "tolerance; returning the finest-grid value",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-        value = prev
+    kernel = FreqNoiseKernel(d, tuple(delta_bar), envelope.sigma)
+    value = _refine(_PAIR_NODE_LADDERS[n], lambda nodes: _pair_sum(kernel, n, nodes),
+                    tol, tol * 1e-300, "delay-pair quadrature")
     scale = envelope.tau ** (2 * n) / ((4.0 * math.pi) ** (n - 1) * n)
     return scale * value
 

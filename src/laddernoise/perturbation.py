@@ -98,6 +98,26 @@ def transition_yield(
     return abs(amplitude.scaled) ** 2 * prod**2
 
 
+def _refine(levels, evaluate, tol: float, floor: float, what: str):
+    """``evaluate`` at the first of ``levels`` whose value agrees with the one before.
+
+    Two successive values agree when ``|cur - prev| <= max(tol * |cur|, floor)``.
+    A last level that still disagrees raises :class:`QuadratureConvergenceError`
+    with the last difference as the achieved error; fewer than two levels raise
+    it before anything is evaluated.
+    """
+    err = math.inf
+    if len(levels) >= 2:
+        prev = evaluate(levels[0])
+        for level in levels[1:]:
+            cur = evaluate(level)
+            err = abs(cur - prev)
+            if err <= max(tol * abs(cur), floor):
+                return cur
+            prev = cur
+    raise QuadratureConvergenceError(f"{what} did not converge", achieved=err)
+
+
 # ---------------------------------------------------------------------------
 # nested time-ordered quadrature
 # ---------------------------------------------------------------------------
@@ -173,11 +193,11 @@ def amplitude_time_quadrature(
     The support is cut into equal panels of 16 Gauss-Legendre nodes, each
     integrated by a spectral integration matrix (Greengard 1991).  The
     starting panel count gives 20 nodes per period of the fastest detuning
-    and 12 per envelope feature; it doubles until two successive values agree
-    to ``tol`` (relative, with an absolute floor of ``tol * 1e-4`` times the
-    resonant magnitude).  A grid past 2^23 + 1 nodes raises
-    :class:`QuadratureConvergenceError` before it is built, and so does a
-    first grid whose doubling would be.
+    and 12 per envelope feature; it doubles, up to 2^23 + 1 nodes, until two
+    successive values agree to ``tol`` (relative, with an absolute floor of
+    ``tol * 1e-4`` times the resonant magnitude).  Running out of grids raises
+    :class:`QuadratureConvergenceError`; a start that leaves fewer than two
+    grids under the cap raises before any is built.
 
     Requires one component per transition.
     """
@@ -188,23 +208,18 @@ def amplitude_time_quadrature(
     feature = env.tau if isinstance(env, GaussianEnvelope) else env.duration
     fastest = max(abs(d) for d in detunings.deltas)
     nodes = (t1 - t0) * max(20.0 * fastest / (2 * math.pi), 12.0 / feature)
-    # a start past the cap, even an infinite one, fails the loop test below
+    # a start past the cap, even an infinite one, leaves no level at all
     panels = math.ceil(min(nodes, _MAX_NODES) / _PANEL_NODES)
-    floor = tol * 1e-4 * env.effective_duration**n / math.factorial(n)
-    prev = None
-    err = math.inf
-    # the first level runs only if the one it is compared with fits too
-    while _PANEL_NODES * panels * (2 if prev is None else 1) <= _MAX_NODES:
-        cur = _panel_integral(env, detunings.deltas, t0, t1, panels)
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= max(tol * abs(cur), floor):
-                return TransitionAmplitude.from_scaled(
-                    (1j) ** n * cur, system, field, AmplitudeMethod.TIME_QUADRATURE
-                )
-        prev = cur
+    levels = []
+    while _PANEL_NODES * panels <= _MAX_NODES:
+        levels.append(panels)
         panels *= 2
-    raise QuadratureConvergenceError("time-ordered quadrature did not converge", achieved=err)
+    floor = tol * 1e-4 * env.effective_duration**n / math.factorial(n)
+    value = _refine(levels, lambda p: _panel_integral(env, detunings.deltas, t0, t1, p),
+                    tol, floor, "time-ordered quadrature")
+    return TransitionAmplitude.from_scaled(
+        (1j) ** n * value, system, field, AmplitudeMethod.TIME_QUADRATURE
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +320,11 @@ def scaled_amplitude_gaussian(
 
     Evaluates the analytic prefactor times the damped oscillatory integral
     over the inter-event delays by tensor Gauss-Legendre quadrature on the
-    truncated box, doubling the per-dimension node count until the relative
-    change drops below ``tol``.  The phase is a sum over the delays, so each
-    level contracts the damped weight tensor with a product of
+    truncated box, refining the per-dimension node count along
+    ``_NODE_LADDERS[N]`` until the relative change drops below ``tol`` (with an
+    absolute floor of ``tol * 1e-12``); a ladder that runs out first raises
+    :class:`QuadratureConvergenceError`.  The phase is a sum over the delays,
+    so each level contracts the damped weight tensor with a product of
     one-dimensional phase vectors: (N-1) * nodes exponentials, not
     nodes^(N-1).
     """
@@ -329,29 +346,16 @@ def scaled_amplitude_gaussian(
             stacklevel=2,
         )
     freq = tuple(f / (n * sigma) for f in frequencies)
-    prev = None
-    result = None
-    last_diff = math.inf
-    for nodes in _NODE_LADDERS[n]:
-        x, weighted = _delay_grid(n, nodes)
-        integral = _separable_delay_integral(x, weighted, freq)
-        if prev is not None:
-            last_diff = abs(integral - prev)
-            if last_diff <= tol * max(abs(integral), 1e-12):
-                result = integral
-                break
-        prev = integral
-    if result is None:
-        raise QuadratureConvergenceError(
-            "delay-integral quadrature did not converge", achieved=last_diff
-        )
+    integral = _refine(_NODE_LADDERS[n],
+                       lambda nodes: _separable_delay_integral(*_delay_grid(n, nodes), freq),
+                       tol, tol * 1e-12, "delay-integral quadrature")
     prefactor = (
         (1j) ** n
         * tau**n
         * math.exp(-detunings.total**2 / (n * sigma**2))
         / (2 ** (n - 1) * math.pi ** ((n - 1) / 2) * math.sqrt(n))
     )
-    return prefactor * result
+    return prefactor * integral
 
 
 def gaussian_suppression_asymptote(detunings: Detunings, sigma: float) -> float:

@@ -871,6 +871,36 @@ class TestExitCodes:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
+        "command,changes",
+        [
+            ("shot", {("field", "components", 0, "amplitude"): 1e200}),  # the yield
+            ("shot", {("field", "envelope", "tau"): 1e120}),  # s^N
+            ("shot", {("field", "envelope"): {"kind": "rectangular", "duration": 1e120}}),
+            # the quadrature floor tau^N / N!
+            ("shot", {("field", "envelope", "tau"): 1e120, ("evaluator",): "perturb-time"}),
+            ("scan", {("field", "envelope", "duration"): 1e200}),
+        ],
+        ids=["amplitude", "tau", "duration", "perturb-time", "scan"],
+    )
+    def test_finite_huge_value_is_a_numerical_failure(self, tmp_path, capsys, command, changes):
+        if command == "scan":
+            with open(os.path.join(DOCS, "antiresonance_scan.json")) as fh:
+                cfg = json.load(fh)
+        else:
+            # three rungs, so that s^N, T^N and tau^N overflow before the yield
+            cfg = minimal_config()
+            cfg["system"] = {"energies": [0.0, 60.0, 174.0, 336.0], "dipoles": [1.0] * 3}
+            cfg["field"]["components"].append({"amplitude": 1.0, "phase": 0.0, "frequency": 162.0})
+        for site, value in changes.items():
+            cfg = replaced(cfg, site, value)
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "o.csv")
+        assert main([command, "--config", path, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
         "run,named",
         [
             ({"type": "ensemble", "samples": 2, "seed": -1}, "run.seed"),

@@ -423,6 +423,11 @@ class TestFrequencyNoiseAverage:
         val = frequency_noise_average(env, (1e-3, 1e-3), (0.0, 0.0))
         assert val == pytest.approx(0.25, rel=1e-5)
 
+    def test_strengths_may_be_a_generator(self):
+        env = GaussianEnvelope(1.0)
+        listed = frequency_noise_average(env, (1.0, 1.0), (0.0, 0.0))
+        assert frequency_noise_average(env, (d for d in (1.0, 1.0)), (0.0, 0.0)) == listed
+
     def test_resonant_noise_suppresses(self):
         env = GaussianEnvelope(1.0)
         for d2 in (0.25, 1.0, 4.0):

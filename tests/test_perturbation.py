@@ -19,6 +19,7 @@ from laddernoise import (
     ValidityWarning,
     amplitude_time_quadrature,
     closed_form_amplitude,
+    frequency_noise_average,
     gaussian_suppression_asymptote,
     scaled_amplitude_gaussian,
     scaled_amplitude_rect_distinct,
@@ -26,7 +27,9 @@ from laddernoise import (
     transition_frequencies,
     transition_yield,
 )
+import laddernoise.noise as noise_module
 import laddernoise.perturbation as perturbation_module
+from laddernoise.noise import _PAIR_NODE_LADDERS
 from laddernoise.perturbation import (
     _NODE_LADDERS,
     _PANEL_NODES,
@@ -154,14 +157,72 @@ class TestPanelRule:
         first = amplitude_time_quadrature(ladder(3), f)
         assert amplitude_time_quadrature(ladder(3), f) == first
 
-    def test_start_beyond_node_cap_raises_before_any_grid(self, monkeypatch):
+
+SIGMA = GaussianEnvelope(1.0).sigma
+
+
+def time_ordered(tol, deltas=(2 * SIGMA, 3 * SIGMA)):
+    f = detuned_field(ladder(2), deltas, GaussianEnvelope(1.0))
+    return amplitude_time_quadrature(ladder(2), f, tol=tol)
+
+
+def gaussian_delay(tol):
+    deltas = (0.4 * SIGMA, -0.1 * SIGMA)
+    return scaled_amplitude_gaussian(Detunings(deltas), GaussianEnvelope(1.0), tol=tol)
+
+
+def delay_pair(tol):
+    return frequency_noise_average(GaussianEnvelope(1.0), (1.0, 1.0), (0.0, 0.0), tol=tol)
+
+
+class TestRefinement:
+    """The three adaptive quadratures fail alike when their levels run out."""
+
+    @pytest.mark.parametrize(
+        "shorten,module,evaluator,call",
+        [
+            # the starting grid of a detuning of 1e6 is already past the node cap
+            (lambda mp: None, perturbation_module, "_panel_integral",
+             lambda: time_ordered(1e-9, (1e6, 0.0))),
+            (lambda mp: mp.setitem(_NODE_LADDERS, 2, (64,)), perturbation_module,
+             "_delay_grid", lambda: gaussian_delay(1e-7)),
+            (lambda mp: mp.setitem(_PAIR_NODE_LADDERS, 2, (32,)), noise_module,
+             "_pair_sum", lambda: delay_pair(1e-6)),
+        ],
+        ids=["time-ordered", "gaussian-delay", "delay-pair"],
+    )
+    def test_start_beyond_node_cap_raises_before_any_grid(
+        self, monkeypatch, shorten, module, evaluator, call
+    ):
         def no_grid(*args):
             raise AssertionError("a grid was built")
 
-        monkeypatch.setattr(perturbation_module, "_panel_integral", no_grid)
-        f = detuned_field(ladder(2), (1e6, 0.0), GaussianEnvelope(1.0))
+        shorten(monkeypatch)
+        monkeypatch.setattr(module, evaluator, no_grid)
         with pytest.raises(QuadratureConvergenceError):
-            amplitude_time_quadrature(ladder(2), f)
+            call()
+
+    @pytest.mark.parametrize(
+        "shorten,call",
+        [
+            # two panel counts, 34 and 68, fit under this cap; their values
+            # differ by round-off, about 3e-17, far above the 5e-20 floor
+            (lambda mp: mp.setattr(perturbation_module, "_MAX_NODES", 2**11),
+             lambda: time_ordered(1e-15)),
+            (lambda mp: mp.setitem(_NODE_LADDERS, 2, (16, 24)),
+             lambda: gaussian_delay(1e-15)),
+            (lambda mp: mp.setitem(_PAIR_NODE_LADDERS, 2, (8, 12)),
+             lambda: delay_pair(1e-15)),
+        ],
+        ids=["time-ordered", "gaussian-delay", "delay-pair"],
+    )
+    def test_disagreeing_last_levels_raise_with_achieved_error(
+        self, monkeypatch, shorten, call
+    ):
+        shorten(monkeypatch)
+        with pytest.raises(QuadratureConvergenceError, match="did not converge") as info:
+            call()
+        assert 0.0 < info.value.achieved < math.inf
 
 
 class TestGaussianClosedForm:

@@ -1,20 +1,35 @@
-"""The benchmark tracer can wrap every binding it names; the README's code runs."""
+"""The benchmark tracer wraps every binding it names and counts what the
+benchmark expects; the README's code runs."""
 
 import importlib
 import importlib.util
+import json
 import os
 import re
+import subprocess
+import sys
+
+import numpy as np
+import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
-LAYERS = os.path.join(ROOT, "perfbench", "layers.py")
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def load_perfbench(name):
+    """A module of the benchmark harness, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_tracer_binding_resolves():
     # layers.install fails on a missing binding, so `perfbench/run.py --trace 1`
     # breaks whenever the package drops a name the tracer wraps
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = load_perfbench("layers")
     missing = [
         f"{module_name}.{attr}"
         for bindings in layers.BINDINGS.values()
@@ -22,6 +37,47 @@ def test_every_tracer_binding_resolves():
         if not callable(getattr(importlib.import_module(module_name), attr, None))
     ]
     assert missing == []
+
+
+# each workload with fewer shots than the benchmark runs; its traced command
+# goes through the same layers, so the same exact counts apply
+SMALL_WORKLOADS = {
+    "tdse_ensemble": {"samples": 4},
+    "gauss_ensemble": {"samples": 200},
+    "mc_optimize": {"mc_samples": 10},
+    "quad_scan": {"points": 50},
+}
+
+
+@pytest.mark.parametrize("name,sizes", SMALL_WORKLOADS.items(), ids=SMALL_WORKLOADS)
+def test_traced_counts_match_expected_trace(tmp_path, name, sizes):
+    # `perfbench/run.py --trace 1` fails a workload whose traced command
+    # reports other counts than its expected_trace
+    workloads = load_perfbench("workloads")
+    layers = load_perfbench("layers")
+    base = type(workloads.WORKLOADS[name])
+    workload = type(base.__name__, (base,), sizes)()
+    config = workload.make_config(np.random.default_rng(1))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out, spans = tmp_path / "out.csv", tmp_path / "spans.json"
+    child = [
+        sys.executable, os.path.join(PERFBENCH, "child.py"),
+        "--src", os.path.join(ROOT, "src"),
+        "--timing", str(tmp_path / "timing.json"),
+        "--spans", str(spans),
+        "--", workload.command, "--config", str(config_path), "--out", str(out),
+    ]
+    proc = subprocess.run(child, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    data = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        per_layer = [m["name"] for m in json.load(fh)["per_layer"]]
+    prefix = "perturbation.method."
+    methods = [m[len(prefix):] for m in per_layer if m.startswith(prefix)]
+    metrics = layers.per_layer_metrics(json.loads(spans.read_text()), methods)
+    expected = workload.expected_trace(config, data[1:])
+    assert {key: metrics[key] for key in expected} == expected
 
 
 def test_readme_quick_start_runs():
