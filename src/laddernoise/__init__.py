@@ -65,7 +65,6 @@ from .perturbation import (
     gaussian_suppression_asymptote,
     scaled_amplitude_gaussian,
     scaled_amplitude_rect_distinct,
-    scaled_amplitude_rect_equal,
     transition_yield,
 )
 from .tdse import (
@@ -124,7 +123,6 @@ __all__ = [
     "sample_stream",
     "scaled_amplitude_gaussian",
     "scaled_amplitude_rect_distinct",
-    "scaled_amplitude_rect_equal",
     "single_shot",
     "strong_detuning_asymptote",
     "transition_frequencies",

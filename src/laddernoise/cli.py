@@ -672,8 +672,8 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OverflowError as exc:  # a finite but huge setting, raised to a power
-        print(f"numerical failure: overflow: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:  # a finite but huge setting: overflow, inf or nan
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
     reproduce = (

@@ -12,6 +12,7 @@ unit and time is its inverse.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -115,10 +116,12 @@ class GaussianEnvelope:
     def value_scalar(self, t: float) -> float:
         return math.exp(-math.pi * t * t / (self.tau * self.tau))
 
-    def spectrum(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        s = self.sigma
-        return (self.tau * np.exp(-(omega * omega) / (s * s))).astype(complex)
+    def spectrum(self, omega: float) -> complex:
+        # square the ratio omega / sigma, because sigma^2 underflows to 0 for
+        # tau above about 1e154; x * x overflows to inf (exp gives 0) where
+        # x ** 2 would raise
+        x = omega / self.sigma
+        return complex(self.tau * math.exp(-x * x))
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,9 @@ class RectangularEnvelope:
     """Rectangular pulse shape: s(t) = 1 on [0, T], 0 elsewhere.
 
     S(omega) = (exp(i omega T) - 1)/(i omega), with the removable singularity
-    at omega = 0 evaluated as S(0) = T.
+    at omega = 0 evaluated as S(0) = T.  Its zeros at omega T = 2 pi n (n != 0)
+    are the equal-detuning antiresonance; a phase omega T that is not finite
+    raises ``OverflowError``.
     """
 
     duration: float
@@ -149,17 +154,16 @@ class RectangularEnvelope:
     def value_scalar(self, t: float) -> float:
         return 1.0 if 0.0 <= t <= self.duration else 0.0
 
-    def spectrum(self, omega):
+    def spectrum(self, omega: float) -> complex:
         # (e^{i w T} - 1)/(i w) = [sin(wT) + 2 i sin^2(wT/2)] / w, which is
-        # cancellation-free for small w; the w = 0 point is patched to T.
-        omega = np.asarray(omega, dtype=float)
-        T = self.duration
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (np.sin(omega * T) + 2.0j * np.sin(omega * T / 2.0) ** 2) / omega
-        if out.ndim == 0:
-            return complex(out) if omega != 0.0 else complex(T)
-        out[omega == 0.0] = T
-        return out
+        # cancellation-free for small w; the w = 0 point is T.
+        if omega == 0.0:
+            return complex(self.duration)
+        x = omega * self.duration
+        if not math.isfinite(x):
+            raise OverflowError(f"spectrum phase omega*T = {x} is not finite")
+        half = math.sin(x / 2.0)
+        return complex(math.sin(x), 2.0 * (half * half)) / omega
 
 
 Envelope = GaussianEnvelope | RectangularEnvelope
@@ -192,14 +196,14 @@ class ControlField:
         out = 2.0 * self.envelope.value(t) * carrier
         return float(out) if out.ndim == 0 else out
 
-    def spectrum(self, omega):
+    def spectrum(self, omega: float) -> complex:
         """Fourier transform f(omega) of E(t); satisfies f(-w) = conj(f(w))."""
         total = 0.0 + 0.0j
         for c in self.components:
-            pos = self.envelope.spectrum(np.asarray(omega, float) - c.frequency)
-            neg = self.envelope.spectrum(np.asarray(omega, float) + c.frequency)
-            total = total + c.amplitude * (
-                np.exp(-1j * c.phase) * pos + np.exp(1j * c.phase) * neg
+            pos = self.envelope.spectrum(omega - c.frequency)
+            neg = self.envelope.spectrum(omega + c.frequency)
+            total += c.amplitude * (
+                cmath.exp(-1j * c.phase) * pos + cmath.exp(1j * c.phase) * neg
             )
         return total
 

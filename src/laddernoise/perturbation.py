@@ -6,11 +6,12 @@ over the field.  This module evaluates it four ways:
 * nested time-ordered quadrature (any envelope, rotating-wave reduction of
   each field component) on Gauss-Legendre panels with a spectral
   integration matrix;
-* the equal-detuning closed form ``i^N S(-delta)^N / N!``;
+* the equal-detuning closed form ``i^N S(-delta)^N / N!`` on the envelope
+  spectrum S, for both envelopes; on a rectangular envelope its exact
+  antiresonance at ``T delta = 2 pi n`` is the zeros of S;
 * the Gaussian-envelope closed form, a damped oscillatory integral over the
   (N-1) inter-event delays;
-* rectangular-envelope closed forms (distinct-cumulant residue sum and the
-  equal-detuning antiresonance formula).
+* the rectangular-envelope residue sum over distinct cumulant detunings.
 
 All closed forms produce the *scaled* amplitude, with the per-component
 factor ``prod_k mu_k A_k e^{-i theta_k}`` divided out; magnitudes therefore
@@ -63,7 +64,8 @@ class TransitionAmplitude:
 
     ``value = scaled * prod_k mu_k A_k e^{-i theta_k}``.  The magnitude can
     exceed 1 outside the validity of lowest-order theory; it is reported as
-    computed, never clamped.
+    computed, never clamped.  A scaled amplitude that is not finite raises
+    ``FloatingPointError`` in :meth:`from_scaled`.
     """
 
     value: complex
@@ -78,6 +80,8 @@ class TransitionAmplitude:
         field: ControlField,
         method: AmplitudeMethod,
     ) -> "TransitionAmplitude":
+        if not cmath.isfinite(scaled):
+            raise FloatingPointError(f"{method.value} amplitude is not finite: {scaled}")
         return cls(scaled * _component_product(system, field), complex(scaled), method)
 
 
@@ -205,9 +209,8 @@ def amplitude_time_quadrature(
     n = detunings.n
     env = field.envelope
     t0, t1 = env.support()
-    feature = env.tau if isinstance(env, GaussianEnvelope) else env.duration
     fastest = max(abs(d) for d in detunings.deltas)
-    nodes = (t1 - t0) * max(20.0 * fastest / (2 * math.pi), 12.0 / feature)
+    nodes = (t1 - t0) * max(20.0 * fastest / (2 * math.pi), 12.0 / env.effective_duration)
     # a start past the cap, even an infinite one, leaves no level at all
     panels = math.ceil(min(nodes, _MAX_NODES) / _PANEL_NODES)
     levels = []
@@ -416,29 +419,13 @@ def scaled_amplitude_rect_distinct(detunings: Detunings, duration: float) -> com
     return (-1.0) ** n * out
 
 
-def scaled_amplitude_rect_equal(delta: float, duration: float, n: int) -> complex:
-    """Rectangular-envelope closed form when every detuning equals ``delta``.
-
-    ``(-1)^N delta^-N (e^{-i T delta} - 1)^N / N!``, evaluated through the
-    cancellation-free half-angle form; the delta -> 0 limit is i^N T^N / N!.
-    The magnitude oscillates as sin^(2N)(T delta / 2) and vanishes exactly at
-    T delta = 2 pi n (the antiresonance).
-    """
-    if delta == 0.0:
-        return (1j) ** n * duration**n / math.factorial(n)
-    x = duration * delta
-    # e^{-ix} - 1 without small-angle cancellation
-    half = math.sin(x / 2.0)
-    phasor = complex(-2.0 * half * half, -math.sin(x))
-    return (-1.0) ** n * (phasor / delta) ** n / math.factorial(n)
-
-
 def closed_form_amplitude(
     system: LadderSystem, field: ControlField, tol: float = 1e-7
 ) -> TransitionAmplitude:
     """Pick the applicable closed form for this field and evaluate it.
 
-    Equal detunings use the resonant form for any envelope; otherwise the
+    Equal detunings use ``i^N S(-delta)^N / N!`` for either envelope (labelled
+    ``rect-equal`` on a rectangular one); otherwise the
     Gaussian delay integral (2 <= N <= 5) or the rectangular residue sum
     applies, falling back to time-domain quadrature for other rung counts
     and for degenerate rectangular cumulants.
@@ -449,13 +436,10 @@ def closed_form_amplitude(
     mean = sum(det.deltas) / n
     spread = max(det.deltas) - min(det.deltas)
     if n == 1 or spread <= 1e-12 * max(1.0, abs(mean)):
-        if isinstance(field.envelope, RectangularEnvelope):
-            scaled = scaled_amplitude_rect_equal(mean, field.envelope.duration, n)
-            method = AmplitudeMethod.RECT_EQUAL
-        else:
-            s_val = complex(field.envelope.spectrum(-mean))
-            scaled = (1j) ** n * s_val**n / math.factorial(n)
-            method = AmplitudeMethod.RESONANT_CLOSED_FORM
+        scaled = (1j) ** n * field.envelope.spectrum(-mean) ** n / math.factorial(n)
+        method = (AmplitudeMethod.RECT_EQUAL
+                  if isinstance(field.envelope, RectangularEnvelope)
+                  else AmplitudeMethod.RESONANT_CLOSED_FORM)
         return TransitionAmplitude.from_scaled(scaled, system, field, method)
     if isinstance(field.envelope, GaussianEnvelope):
         if n in _NODE_LADDERS:

@@ -35,7 +35,6 @@ from laddernoise import (
     rect_noise_limit,
     scaled_amplitude_gaussian,
     scaled_amplitude_rect_distinct,
-    scaled_amplitude_rect_equal,
     strong_detuning_asymptote,
     transition_frequencies,
     transition_yield,
@@ -168,7 +167,7 @@ def test_03_method_cross_agreement():
             T = float(rng.uniform(1.0, 4.0))
             delta = float(rng.uniform(0.3, 1.1))
             f = field_for(system, RectangularEnvelope(T), deltas=(delta,) * n)
-            a = scaled_amplitude_rect_equal(delta, T, n)
+            a = closed_form_amplitude(system, f).scaled
             b = scaled_amplitude_rect_distinct(
                 Detunings((delta,) * n), T
             )
@@ -363,9 +362,12 @@ def test_09_rectangular_noise_limit():
         dbar = dbar_t / T
         width = 8 * math.pi / T  # >> pi/T, << dbar
         draws = rng.uniform(dbar - width / 2, dbar + width / 2, 100_000)
-        vals = np.array(
-            [abs(scaled_amplitude_rect_equal(d, T, n)) ** 2 for d in draws[:200]]
-        )
+        system = ladder((60.0, 114.0)[:n])
+        env = RectangularEnvelope(T)
+        vals = np.array([
+            abs(closed_form_amplitude(system, field_for(system, env, deltas=(d,) * n)).scaled) ** 2
+            for d in draws[:200]
+        ])
         # the remaining draws go through the vectorized magnitude identity
         # |scaled|^2 = 2^2N/(N!)^2 d^-2N sin^2N(Td/2), verified on the head
         head = (

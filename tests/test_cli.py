@@ -273,6 +273,30 @@ class TestLoadConfig:
             cfg = load_config(os.path.join(DOCS, name))
             assert cfg.digest
 
+    @pytest.mark.parametrize(
+        "name,method",
+        [
+            ("resonant_shot.json", "resonant-closed-form"),
+            ("antiresonance_scan.json", "rect-equal"),
+            ("noise_cooperation_optimize.json", None),  # the optimizer trace has no method
+        ],
+    )
+    def test_docs_examples_run(self, tmp_path, name, method):
+        path = os.path.join(DOCS, name)
+        with open(path) as fh:
+            command = json.load(fh)["run"]["type"]
+        out = str(tmp_path / "out.csv")
+        assert main([command, "--config", path, "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            header, *rows = [line for line in fh.read().splitlines() if not line.startswith("#")]
+        columns = header.split(",")
+        assert rows
+        for row in rows:
+            cells = dict(zip(columns, row.split(",")))
+            numbers = [float(v) for k, v in cells.items() if k != "method" and v]
+            assert all(math.isfinite(x) for x in numbers)
+            assert cells.get("method") == method
+
 
 class TestRunExperiment:
     def test_shot_row(self, tmp_path):
@@ -871,24 +895,37 @@ class TestExitCodes:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
-        "command,changes",
+        "base,changes",
         [
-            ("shot", {("field", "components", 0, "amplitude"): 1e200}),  # the yield
-            ("shot", {("field", "envelope", "tau"): 1e120}),  # s^N
-            ("shot", {("field", "envelope"): {"kind": "rectangular", "duration": 1e120}}),
+            ("three-rung", {("field", "components", 0, "amplitude"): 1e200}),  # the yield
+            ("three-rung", {("field", "envelope", "tau"): 1e120}),  # s^N
+            ("three-rung", {("field", "envelope"): {"kind": "rectangular", "duration": 1e120}}),
             # the quadrature floor tau^N / N!
-            ("shot", {("field", "envelope", "tau"): 1e120, ("evaluator",): "perturb-time"}),
+            ("three-rung", {("field", "envelope", "tau"): 1e120, ("evaluator",): "perturb-time"}),
             ("scan", {("field", "envelope", "duration"): 1e200}),
+            # sigma^2 underflows to 0 on resonance
+            ("two-rung", {("field", "envelope", "tau"): 1e300}),
+            # the phase omega*T of the equal-detuning spectrum is -inf
+            ("two-rung", {("field", "envelope"): {"kind": "rectangular", "duration": 1e308},
+                          ("field", "components", 0, "frequency"): 70.0,
+                          ("field", "components", 1, "frequency"): 124.0}),
+            # the residue sum's phases are infinite, so the amplitude is nan
+            ("two-rung", {("field", "envelope"): {"kind": "rectangular", "duration": 1e308},
+                          ("field", "components", 0, "frequency"): 70.0,
+                          ("field", "components", 1, "frequency"): 117.0}),
         ],
-        ids=["amplitude", "tau", "duration", "perturb-time", "scan"],
+        ids=["amplitude", "tau", "duration", "perturb-time", "scan",
+             "resonant-tau", "rect-equal-duration", "rect-distinct-duration"],
     )
-    def test_finite_huge_value_is_a_numerical_failure(self, tmp_path, capsys, command, changes):
-        if command == "scan":
+    def test_finite_huge_value_is_a_numerical_failure(self, tmp_path, capsys, base, changes):
+        command = "scan" if base == "scan" else "shot"
+        if base == "scan":
             with open(os.path.join(DOCS, "antiresonance_scan.json")) as fh:
                 cfg = json.load(fh)
         else:
-            # three rungs, so that s^N, T^N and tau^N overflow before the yield
             cfg = minimal_config()
+        if base == "three-rung":
+            # so that s^N, T^N and tau^N overflow before the yield
             cfg["system"] = {"energies": [0.0, 60.0, 174.0, 336.0], "dipoles": [1.0] * 3}
             cfg["field"]["components"].append({"amplitude": 1.0, "phase": 0.0, "frequency": 162.0})
         for site, value in changes.items():
