@@ -18,7 +18,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, fields, replace
 
 import numpy as np
 
@@ -64,7 +64,14 @@ from .optimize import (
 from .perturbation import amplitude_time_quadrature, closed_form_amplitude  # noqa: F401
 from .tdse import propagate  # noqa: F401
 
-_RUN_TYPES = ("shot", "scan", "ensemble", "optimize")
+# the keys each run type reads besides type and seed
+_RUN_KEYS = {
+    "shot": (), "scan": ("parameter", "grid"), "ensemble": ("samples",),
+    "optimize": ("target_yield", "fluence_weight", "observable", "init", "max_evals", "mc_samples"),
+}
+_RUN_TYPES = tuple(_RUN_KEYS)
+_TOP_KEYS = ("system", "field", "noise", "evaluator", "target", "run", "output", "tolerances")
+_PULSE_KEYS = ("amplitude", "phase", "frequency")
 
 # common-detuning scan: sets every component frequency to its transition
 # frequency plus the scanned value
@@ -158,11 +165,22 @@ def _integer(value, least: int | None = None) -> int:
     return value
 
 
+def _known(node, keys) -> dict:
+    """The object ``node``, refused if it holds a key outside ``keys``: nothing would read it."""
+    if not isinstance(node, dict):
+        raise TypeError(f"need an object, got {node!r}")
+    unknown = [key for key in node if key not in keys]
+    if unknown:
+        raise ValueError("unknown key " + ", ".join(map(repr, unknown)))
+    return node
+
+
 def _build_system(raw, problems) -> LadderSystem | None:
     sys_raw = raw.get("system")
     if not isinstance(sys_raw, dict):
         problems.append("system: missing or not an object")
         return None
+    _guard(problems, "system", _known, sys_raw, ("energies", "dipoles"))
     energies = _guard(problems, "system.energies", _floats, sys_raw.get("energies"))
     dipoles = _guard(problems, "system.dipoles", _floats, sys_raw.get("dipoles"))
     if energies is None or dipoles is None:
@@ -182,19 +200,20 @@ _ENVELOPES = {
     "gaussian": (GaussianEnvelope, "tau"),
     "rectangular": (RectangularEnvelope, "duration"),
 }
+_DISTRIBUTIONS = {"uniform": (UniformNoise, "half_width"), "gaussian": (GaussianNoise, "std")}
 
 
-def _envelope(env) -> GaussianEnvelope | RectangularEnvelope:
-    kind = env["kind"]
-    if kind not in _ENVELOPES:
-        raise ValueError(f"unknown kind {kind!r}")
-    build, width = _ENVELOPES[kind]
-    if set(env) != {"kind", width}:
-        raise ValueError(f"a {kind} envelope takes just {width!r}, got keys {sorted(env)}")
-    return build(_number(env[width]))
+def _tagged(node, tag: str, kinds: dict):
+    """An envelope or a noise distribution: ``kinds[node[tag]]`` is its class and width key."""
+    kind = node[tag]
+    if kind not in kinds:
+        raise ValueError(f"unknown {tag} {kind!r}")
+    build, width = kinds[kind]
+    return build(_number(_known(node, (tag, width))[width]))
 
 
 def _component(c) -> PulseComponent:
+    _known(c, _PULSE_KEYS)
     return PulseComponent(
         _number(c["amplitude"]), _number(c.get("phase", 0.0)), _number(c["frequency"])
     )
@@ -205,7 +224,8 @@ def _build_field(raw, problems) -> ControlField | None:
     if not isinstance(fld, dict):
         problems.append("field: missing or not an object")
         return None
-    env = _guard(problems, "field.envelope", _envelope, fld.get("envelope", {}))
+    _guard(problems, "field", _known, fld, ("envelope", "components"))
+    env = _guard(problems, "field.envelope", _tagged, fld.get("envelope", {}), "kind", _ENVELOPES)
     comps_raw = fld.get("components")
     if not isinstance(comps_raw, list) or not comps_raw:
         problems.append("field.components: need a nonempty list")
@@ -219,21 +239,11 @@ def _build_field(raw, problems) -> ControlField | None:
     return ControlField(tuple(comps), env)
 
 
-def _distribution(raw_dist):
-    if raw_dist is None:
-        return None
-    kind = raw_dist["dist"]
-    if kind == "uniform":
-        return UniformNoise(_number(raw_dist["half_width"]))
-    if kind == "gaussian":
-        return GaussianNoise(_number(raw_dist["std"]))
-    raise ValueError(f"unknown distribution {kind!r}")
-
-
 def _component_noise(c) -> ComponentNoise:
-    return ComponentNoise(
-        **{key: _distribution(c.get(key)) for key in ("amplitude", "phase", "frequency")}
-    )
+    return ComponentNoise(**{
+        key: _tagged(dist, "dist", _DISTRIBUTIONS)
+        for key, dist in _known(c, _PULSE_KEYS).items() if dist is not None
+    })
 
 
 def _build_noise(raw, fld, problems) -> NoiseSpec | None:
@@ -244,6 +254,7 @@ def _build_noise(raw, fld, problems) -> NoiseSpec | None:
     if not isinstance(comps_raw, list) or len(comps_raw) != len(fld.components):
         problems.append("noise.components: must list one entry per field component")
         return None
+    _guard(problems, "noise", _known, noise_raw, ("components",))
     comps = [
         _guard(problems, f"noise.components[{i}]", _component_noise, c)
         for i, c in enumerate(comps_raw)
@@ -262,6 +273,7 @@ def _build_noise(raw, fld, problems) -> NoiseSpec | None:
 
 
 def _output(out) -> tuple[str | None, str]:
+    _known(out, ("path", "format"))
     path, fmt = out.get("path"), out.get("format", "csv")
     if not isinstance(path, (str, type(None))) or fmt not in ("csv", "json"):
         raise ValueError(f"need a string path and format 'csv' or 'json', got {out!r}")
@@ -313,6 +325,7 @@ def _build_run(raw, system, fld, noise, evaluator, tolerances, problems) -> RunS
         problems.append(f"run.type: must be one of {_RUN_TYPES}")
         return None
     rtype = run["type"]
+    _guard(problems, "run", _known, run, ("type", "seed", *_RUN_KEYS[rtype]))
     observable = run.get("observable", "analytic")
     sampled = rtype == "ensemble" or (rtype == "optimize" and observable != "analytic")
     if noise is not None and noise.active and sampled and "seed" not in run:
@@ -406,6 +419,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(["the top level must be an object"])
 
     problems = list(_nonfinite(raw))
+    _guard(problems, "top level", _known, raw, _TOP_KEYS)
     warnings_list: list[str] = []
     system = _build_system(raw, problems)
     fld = _build_field(raw, problems)
@@ -413,8 +427,9 @@ def load_config(path: str) -> ExperimentConfig:
     evaluator = _guard(
         problems, "evaluator", Evaluator, raw.get("evaluator", "closed-form")
     )
+    tol_keys = [f.name for f in fields(Tolerances)]
     tolerances = _guard(
-        problems, "tolerances", lambda: Tolerances(**(raw.get("tolerances") or {}))
+        problems, "tolerances", lambda: Tolerances(**_known(raw.get("tolerances") or {}, tol_keys))
     )
     output = _guard(problems, "output", _output, raw.get("output") or {})
 

@@ -95,17 +95,15 @@ class NoiseSpec:
 
     @classmethod
     def quiet(cls, n_components: int) -> "NoiseSpec":
-        return cls(tuple(ComponentNoise() for _ in range(n_components)))
+        return cls(ComponentNoise() for _ in range(n_components))
 
     @classmethod
     def amplitude_uniform(cls, half_widths) -> "NoiseSpec":
-        return cls(
-            tuple(ComponentNoise(amplitude=UniformNoise(g)) for g in half_widths)
-        )
+        return cls(ComponentNoise(amplitude=UniformNoise(g)) for g in half_widths)
 
     @classmethod
     def phase_uniform(cls, half_widths) -> "NoiseSpec":
-        return cls(tuple(ComponentNoise(phase=UniformNoise(g)) for g in half_widths))
+        return cls(ComponentNoise(phase=UniformNoise(g)) for g in half_widths)
 
     @classmethod
     def frequency_gaussian(cls, d_values, sigma: float) -> "NoiseSpec":
@@ -114,10 +112,7 @@ class NoiseSpec:
         ``sigma`` is the envelope's spectral width.
         """
         return cls(
-            tuple(
-                ComponentNoise(frequency=GaussianNoise(d * sigma / math.sqrt(2.0)))
-                for d in d_values
-            )
+            ComponentNoise(frequency=GaussianNoise(d * sigma / math.sqrt(2.0))) for d in d_values
         )
 
     def amplitude_variances(self) -> tuple[float, ...]:
@@ -321,12 +316,17 @@ def amplitude_noise_average(coupling: float, amplitudes, variances) -> float:
 class FreqNoiseKernel:
     """Closed-form Gaussian average over jittered detunings.
 
-    Built from the dimensionless noise strengths d_k, mean detunings, and the
-    envelope spectral width; ``b_inverse``/``det_b`` are the quadratic-form
-    data of the averaging integral with B = diag(1/d_k^2) + 2/N, namely
+    Built from the dimensionless noise strengths d_k >= 0, the mean
+    detunings delta_bar_k and the envelope spectral width sigma.  With the
+    delay map w of :meth:`evaluate`, Dbar_N = sum_k delta_bar_k,
+    dbar^2 = mean_k d_k^2, kappa = 2 / (N (1 + 2 dbar^2)) and
+    b_k = delta_bar_k - kappa Dbar_N d_k^2,
 
-        (B^-1)_kj = d_k^2 (delta_kj - 2 d_j^2 / (N (1 + 2 dbar^2))),
-        det B     = (1 + 2 dbar^2) / prod d_k^2.
+        L = (1 + 2 dbar^2)^(-1/2) exp(-kappa Dbar_N^2 / sigma^2 - i b.w / sigma
+                - (sum_k d_k^2 w_k^2 - kappa (sum_k d_k^2 w_k)^2) / 4).
+
+    Every term stays bounded as d -> 0, and d = 0 is the noiseless kernel
+    exp(-2 Dbar_N^2 / (N sigma^2) - i delta_bar.w / sigma).
     """
 
     d: tuple[float, ...]
@@ -334,29 +334,10 @@ class FreqNoiseKernel:
     sigma: float
 
     def __post_init__(self):
-        if any(dk <= 0.0 for dk in self.d):
-            raise ValueError("noise strengths d_k must be positive")
+        if not all(dk >= 0.0 for dk in self.d):
+            raise ValueError("noise strengths d_k must be nonnegative")
         if len(self.d) != len(self.delta_bar):
             raise ValueError("d and delta_bar must have equal length")
-
-    @property
-    def n(self) -> int:
-        return len(self.d)
-
-    @property
-    def d_sq_mean(self) -> float:
-        return float(np.mean(np.square(self.d)))
-
-    @property
-    def b_inverse(self) -> np.ndarray:
-        d2 = np.square(np.asarray(self.d))
-        return np.diag(d2) - np.outer(d2, d2) * (
-            2.0 / (self.n * (1.0 + 2.0 * self.d_sq_mean))
-        )
-
-    @property
-    def det_b(self) -> float:
-        return (1.0 + 2.0 * self.d_sq_mean) / float(np.prod(np.square(self.d)))
 
     def evaluate(self, delays, delays_conj):
         """Averaging kernel L_N for one or many delay pairs.
@@ -365,19 +346,20 @@ class FreqNoiseKernel:
         result is a complex scalar for one pair, else an array of the leading
         shape.
         """
-        d = np.asarray(self.d)
-        db = np.asarray(self.delta_bar)
+        n = len(self.d)
+        d2 = np.square(self.d)
+        spread = 1.0 + 2.0 * float(np.mean(d2))
+        kappa = 2.0 / (n * spread)
+        total = float(np.sum(self.delta_bar))
+        b = np.asarray(self.delta_bar) - kappa * total * d2
         u = np.asarray(delays) - np.asarray(delays_conj)
-        # v[k] = sum_{j >= k} u_j for k = 1..N-1, and v[N] = 0
-        v = np.zeros(u.shape[:-1] + (self.n,))
+        # v[k] = sum_{j >= k} u_j for k = 1..N-1, and v[N] = 0; w = vbar - v
+        v = np.zeros(u.shape[:-1] + (n,))
         v[..., :-1] = np.cumsum(u[..., ::-1], axis=-1)[..., ::-1]
-        v_bar = v.mean(axis=-1, keepdims=True)
-        c = 2.0 * db / (self.sigma**2 * d**2) - 1j * (v_bar - v) / self.sigma
-        quad = np.einsum("...i,ij,...j->...", c, self.b_inverse, c)
-        expo = (self.sigma**2 / 4.0) * quad - np.sum(
-            db**2 / (d**2 * self.sigma**2)
-        )
-        out = (1.0 / np.prod(d)) * self.det_b**-0.5 * np.exp(expo)
+        w = v.mean(axis=-1, keepdims=True) - v
+        quad = np.square(w) @ d2 - kappa * np.square(w @ d2)
+        expo = -kappa * total**2 / self.sigma**2 - 0.25 * quad - 1j * (w @ b) / self.sigma
+        out = np.exp(expo) / math.sqrt(spread)
         return complex(out) if u.ndim == 1 else out
 
 
@@ -412,13 +394,17 @@ def frequency_noise_average(
 ) -> float:
     """Detuning-noise average of the squared scaled amplitude, N in {2, 3}.
 
-    Evaluates the 2(N-1)-dimensional delay integral with the closed-form
-    kernel by tensor quadrature, including the tau^{2N} / ((4 pi)^{N-1} N)
-    scale.  Each level of the node ladder sums the kernel over all pairs of
-    points of the single-amplitude delay grid (``_pair_sum``); levels are
-    refined until two agree to ``tol`` (relative), and a ladder that runs out
-    first raises :class:`QuadratureConvergenceError`.  Larger ladders should
-    use the Monte Carlo path (the observable is itself an expectation value).
+    The detuning of transition k is Gaussian with mean ``delta_bar[k]`` and
+    standard deviation d_k sigma / sqrt(2), d_k >= 0, so all-zero strengths
+    give the noiseless ``|scaled_amplitude_gaussian|^2``.  Evaluates the
+    2(N-1)-dimensional delay integral with the closed-form kernel
+    :class:`FreqNoiseKernel` by tensor quadrature, including the
+    tau^{2N} / ((4 pi)^{N-1} N) scale.  Each level of the node ladder sums
+    the kernel over all pairs of points of the single-amplitude delay grid
+    (``_pair_sum``); levels are refined until two agree to ``tol``
+    (relative), and a ladder that runs out first raises
+    :class:`QuadratureConvergenceError`.  Larger ladders should use the Monte
+    Carlo path (the observable is itself an expectation value).
     """
     if not isinstance(envelope, GaussianEnvelope):
         raise TypeError("frequency-noise averaging requires a Gaussian envelope")
@@ -443,19 +429,17 @@ def strong_detuning_asymptote(delta_bar, d_sq_mean: float, sigma: float) -> floa
     detuning is large compared with its jitter scale sigma*d, otherwise a
     :class:`ValidityWarning` is emitted.
     """
-    db = np.asarray(tuple(delta_bar), dtype=float)
-    n = len(db)
+    db = tuple(float(x) for x in delta_bar)
     if d_sq_mean < 0.0:
         raise ValueError("d_sq_mean must be nonnegative")
-    if np.min(np.abs(db)) < 3.0 * sigma * math.sqrt(max(d_sq_mean, 0.0)):
+    if min(abs(x) for x in db) < 3.0 * sigma * math.sqrt(d_sq_mean):
         warnings.warn(
             "strong-detuning asymptote used where detunings are not large "
             "compared with the jitter scale",
             ValidityWarning,
             stacklevel=2,
         )
-    total = float(np.sum(db))
-    return math.exp(-4.0 * total**2 / (n * sigma**2 * (1.0 + 2.0 * d_sq_mean)))
+    return math.exp(-4.0 * sum(db) ** 2 / (len(db) * sigma**2 * (1.0 + 2.0 * d_sq_mean)))
 
 
 def rect_noise_limit(n: int, delta_bar: float) -> float:

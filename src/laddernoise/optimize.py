@@ -10,6 +10,7 @@ u_l + var_l constant across components wherever u_l > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -73,10 +74,7 @@ def coupling_magnitude(
 ) -> float:
     """|scaled amplitude * prod_k mu_k|, the amplitude-independent yield scale."""
     amp = closed_form_amplitude(system, field, tol=tol)
-    prod = 1.0
-    for mu in system.dipoles:
-        prod *= mu
-    return abs(amp.scaled * prod)
+    return abs(amp.scaled * math.prod(system.dipoles))
 
 
 def check_observable(observable: ObservableModel, evaluator: Evaluator, noise: NoiseSpec) -> None:
@@ -232,10 +230,10 @@ def optimize_amplitudes(
         raise ValueError(f"max_evals {max_evals} is below M + 1 = {dim + 1}, one simplex")
     model = yield_model(spec, system, field, noise)
 
-    def f_u(u: np.ndarray) -> float:
-        amps = np.sqrt(np.maximum(u, 0.0))
+    def f_u(u: np.ndarray) -> float:  # _nelder_mead passes u clamped at zero
+        amps = np.sqrt(u)
         val = (model(amps) - spec.target_yield) ** 2
-        val += spec.fluence_weight * float(np.sum(np.maximum(u, 0.0)))
+        val += spec.fluence_weight * float(np.sum(u))
         if trace is not None:
             trace.append((tuple(float(a) for a in amps), val))
         return val

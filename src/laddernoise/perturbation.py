@@ -383,9 +383,7 @@ def gaussian_suppression_asymptote(detunings: Detunings, sigma: float) -> float:
             ValidityWarning,
             stacklevel=2,
         )
-    prod = 1.0
-    for f in frequencies:
-        prod *= abs(f)
+    prod = math.prod(abs(f) for f in frequencies)
     return sigma ** (n - 1) * math.exp(-detunings.total**2 / (n * sigma**2)) / prod
 
 
@@ -396,26 +394,26 @@ def scaled_amplitude_rect_distinct(detunings: Detunings, duration: float) -> com
     with Delta_0 = 0 included in the pole set.  Near-degenerate cumulants
     lose all significance in the pole products, so separations at or below
     1e-6 of the largest |Delta| (at least 1e-6) raise
-    :class:`DegenerateCumulantsError`.
+    :class:`DegenerateCumulantsError`; a phase (Delta_N - Delta_q) T that is
+    not finite raises ``OverflowError``.
     """
     n = detunings.n
-    cums = np.concatenate([[0.0], np.asarray(detunings.cumulants)])
-    scale = max(1.0, float(np.max(np.abs(cums))))
-    sep_tol = 1e-6 * scale
-    diffs = np.abs(cums[:, None] - cums[None, :])[np.triu_indices(n + 1, k=1)]
-    if diffs.min() <= sep_tol:
+    cums = (0.0, *detunings.cumulants)
+    sep_tol = 1e-6 * max(1.0, *(abs(c) for c in cums))
+    gap = min(abs(a - b) for i, a in enumerate(cums) for b in cums[i + 1:])
+    if gap <= sep_tol:
         raise DegenerateCumulantsError(
-            f"cumulant detunings separated by {diffs.min():.3e} <= {sep_tol:.3e}; "
+            f"cumulant detunings separated by {gap:.3e} <= {sep_tol:.3e}; "
             "use the equal-detuning form or time-domain quadrature"
         )
     total = cums[-1]
     out = 0.0 + 0.0j
-    for q in range(n + 1):
-        prod = 1.0
-        for j in range(n + 1):
-            if j != q:
-                prod *= cums[j] - cums[q]
-        out += np.exp(-1j * (total - cums[q]) * duration) / prod
+    for q, cq in enumerate(cums):
+        phase = (total - cq) * duration
+        if not math.isfinite(phase):
+            raise OverflowError(f"residue phase (Delta_N - Delta_q)*T = {phase} is not finite")
+        prod = math.prod(cj - cq for j, cj in enumerate(cums) if j != q)
+        out += cmath.exp(-1j * phase) / prod
     return (-1.0) ** n * out
 
 

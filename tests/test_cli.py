@@ -814,6 +814,64 @@ class TestExitCodes:
         assert "invalid configuration" in err
         assert "field.envelope" in err and "truncation_halfwidths" in err
 
+    def test_misspelled_noise_key_is_listed(self, tmp_path, capsys):
+        # read as a component without noise, it moved the optimum amp_1 from 0.523 to 0.560
+        with open(os.path.join(DOCS, "noise_cooperation_optimize.json")) as fh:
+            cfg = json.load(fh)
+        component = cfg["noise"]["components"][1]
+        component["amplitud"] = component.pop("amplitude")
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "o.csv")
+        assert main(["optimize", "--config", path, "--out", out]) == 2
+        assert "noise.components[1]: unknown key 'amplitud'" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "site,named",
+        [
+            ((), "top level"),
+            (("system",), "system"),
+            (("field",), "field"),
+            (("field", "envelope"), "field.envelope"),
+            (("field", "components", 1), "field.components[1]"),
+            (("noise",), "noise"),
+            (("noise", "components", 0), "noise.components[0]"),
+            # a distribution's own keys are listed under its component
+            (("noise", "components", 0, "frequency"), "noise.components[0]"),
+            (("run",), "run"),
+            (("output",), "output"),
+            (("tolerances",), "tolerances"),
+        ],
+    )
+    def test_unknown_key_is_listed(self, tmp_path, capsys, site, named):
+        cfg = minimal_config(
+            noise={"components": [{"frequency": {"dist": "gaussian", "std": 0.5}}, {}]},
+            run={"type": "ensemble", "samples": 2, "seed": 1},
+            tolerances={"closed_form_tol": 1e-7},
+        )
+        node = cfg
+        for key in site:
+            node = node[key]
+        node["extra"] = 1.0
+        assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and f"{named}: unknown key 'extra'" in err
+
+    @pytest.mark.parametrize(
+        "run,key",
+        [
+            ({"type": "shot", "samples": 10}, "samples"),
+            (dict(SCAN_RUN, init=[0.5, 0.5]), "init"),
+            ({"type": "ensemble", "samples": 2, "seed": 1, "observable": "mc"}, "observable"),
+            (dict(OPTIMIZE_RUN, observabel="mc"), "observabel"),
+            (dict(OPTIMIZE_RUN, grid=[1.0, 2.0]), "grid"),
+        ],
+    )
+    def test_run_keys_are_checked_per_run_type(self, tmp_path, capsys, run, key):
+        path = write_config(tmp_path, minimal_config(run=run))
+        assert main(["validate", "--config", path]) == 2
+        assert f"run: unknown key {key!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "site,literal,named",
         [

@@ -344,15 +344,49 @@ class TestAmplitudeNoiseAnalytic:
 
 
 class TestFrequencyNoiseKernel:
-    def test_matrix_identities(self):
+    def test_matches_the_dense_quadratic_form(self):
+        # the same integral as (1/prod d) det(B)^(-1/2) exp((sigma^2/4) c^T B^-1 c
+        # - sum delta_bar^2/(d^2 sigma^2)) with B = diag(1/d^2) + 2/N and
+        # c_k = 2 delta_bar_k/(sigma^2 d_k^2) - i w_k/sigma, for d_k well above 0
         rng = np.random.default_rng(3)
+        sigma = 2.0
         for n in (2, 3, 4):
-            d = tuple(rng.uniform(0.3, 2.0, n))
-            kern = FreqNoiseKernel(d, (0.0,) * n, sigma=2.0)
-            b = np.diag(1.0 / np.square(d)) + 2.0 / n
-            prod = b @ kern.b_inverse
-            assert np.max(np.abs(prod - np.eye(n))) < 1e-10
-            assert kern.det_b == pytest.approx(float(np.linalg.det(b)), rel=1e-10)
+            for trial in range(5):
+                d = rng.uniform(0.3, 2.0, n)
+                db = rng.uniform(-1.5, 1.5, n) * sigma
+                tau, tau_p = rng.uniform(-2.0, 2.0, (2, n - 1))
+                b = np.diag(1.0 / np.square(d)) + 2.0 / n
+                u = tau - tau_p
+                v = np.append(np.cumsum(u[::-1])[::-1], 0.0)
+                c = 2.0 * db / (sigma**2 * d**2) - 1j * (v.mean() - v) / sigma
+                expo = (sigma**2 / 4.0) * (c @ np.linalg.inv(b) @ c) - np.sum(
+                    db**2 / (d**2 * sigma**2)
+                )
+                dense = np.exp(expo) / (np.prod(d) * math.sqrt(np.linalg.det(b)))
+                kern = FreqNoiseKernel(tuple(d), tuple(db), sigma)
+                assert kern.evaluate(tau, tau_p) == pytest.approx(dense, rel=1e-10)
+
+    def test_small_strengths_approach_the_noiseless_kernel(self):
+        # the dense form loses 1.3% here to the cancelling 1/d^2 terms
+        sigma = GaussianEnvelope(1.0).sigma
+        db = tuple(0.5 * sigma * f for f in (0.9, -0.6, 0.7))
+        tau, tau_p = np.array([0.4, -0.3]), np.array([1.1, 0.2])
+        quiet = FreqNoiseKernel((0.0,) * 3, db, sigma).evaluate(tau, tau_p)
+        small = FreqNoiseKernel((1e-7,) * 3, db, sigma).evaluate(tau, tau_p)
+        assert abs(small - quiet) <= 1e-9 * abs(quiet)
+        # d = 0: exp(-2 Dbar_N^2 / (N sigma^2) - i delta_bar.w / sigma)
+        v = np.append(np.cumsum((tau - tau_p)[::-1])[::-1], 0.0)
+        w = v.mean() - v
+        expected = np.exp(-2.0 * sum(db) ** 2 / (3 * sigma**2) - 1j * np.dot(db, w) / sigma)
+        assert quiet == pytest.approx(expected, rel=1e-14)
+
+    def test_refuses_negative_strength_and_length_mismatch(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            FreqNoiseKernel((0.5, -0.1), (0.0, 0.0), sigma=1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            FreqNoiseKernel((0.5, math.nan), (0.0, 0.0), sigma=1.0)
+        with pytest.raises(ValueError, match="equal length"):
+            FreqNoiseKernel((0.5, 0.5), (0.0,), sigma=1.0)
 
     def test_resonant_equal_delays_value(self):
         d = (0.7, 1.2)
@@ -422,6 +456,28 @@ class TestFrequencyNoiseAverage:
         env = GaussianEnvelope(1.0)
         val = frequency_noise_average(env, (1e-3, 1e-3), (0.0, 0.0))
         assert val == pytest.approx(0.25, rel=1e-5)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zero_strengths_give_the_noiseless_yield(self, n):
+        env = GaussianEnvelope(1.0)
+        db = tuple(0.5 * env.sigma * f for f in (0.9, -0.6, 0.7)[:n])
+        noiseless = abs(scaled_amplitude_gaussian(Detunings(db), env, tol=1e-10)) ** 2
+        averaged = frequency_noise_average(env, (0.0,) * n, db, tol=1e-10)
+        assert averaged == pytest.approx(noiseless, rel=1e-9)
+
+    def test_one_zero_strength_matches_a_one_dimensional_average(self):
+        # only the second detuning jitters: std 0.8 sigma / sqrt(2), which is
+        # Gauss-Hermite in x with delta_2 = delta_bar_2 + 0.8 sigma x
+        env = GaussianEnvelope(1.0)
+        db = (0.6 * env.sigma, -0.4 * env.sigma)
+        x, w = np.polynomial.hermite.hermgauss(60)
+        brute = math.fsum(
+            wj * abs(scaled_amplitude_gaussian(
+                Detunings((db[0], db[1] + 0.8 * env.sigma * xj)), env, tol=1e-10)) ** 2
+            for xj, wj in zip(x, w)
+        ) / math.sqrt(math.pi)
+        averaged = frequency_noise_average(env, (0.0, 0.8), db, tol=1e-10)
+        assert averaged == pytest.approx(brute, rel=1e-8)
 
     def test_strengths_may_be_a_generator(self):
         env = GaussianEnvelope(1.0)
