@@ -15,7 +15,6 @@ from .errors import (
     ConfigError,
     DegenerateCumulantsError,
     EnsembleEvaluationError,
-    IntegrationFailureError,
     QuadratureConvergenceError,
     ValidityWarning,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "FreqNoiseKernel",
     "GaussianEnvelope",
     "GaussianNoise",
-    "IntegrationFailureError",
     "LadderSystem",
     "NoiseSpec",
     "ObjectiveSpec",

@@ -23,12 +23,7 @@ from dataclasses import asdict, dataclass, field as dataclass_field, fields, rep
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    EnsembleEvaluationError,
-    IntegrationFailureError,
-    QuadratureConvergenceError,
-)
+from .errors import ConfigError, EnsembleEvaluationError, QuadratureConvergenceError
 from .model import (
     ControlField,
     GaussianEnvelope,
@@ -247,11 +242,14 @@ def _component_noise(c) -> ComponentNoise:
 
 
 def _build_noise(raw, fld, problems) -> NoiseSpec | None:
+    """The noise spec; without a field, all but the count and frequency-width rules are checked."""
     noise_raw = raw.get("noise")
     if noise_raw is None:
-        return NoiseSpec.quiet(len(fld.components))
+        return NoiseSpec.quiet(len(fld.components)) if fld is not None else None
     comps_raw = noise_raw.get("components") if isinstance(noise_raw, dict) else None
-    if not isinstance(comps_raw, list) or len(comps_raw) != len(fld.components):
+    if not isinstance(comps_raw, list) or (
+        fld is not None and len(comps_raw) != len(fld.components)
+    ):
         problems.append("noise.components: must list one entry per field component")
         return None
     _guard(problems, "noise", _known, noise_raw, ("components",))
@@ -259,7 +257,7 @@ def _build_noise(raw, fld, problems) -> NoiseSpec | None:
         _guard(problems, f"noise.components[{i}]", _component_noise, c)
         for i, c in enumerate(comps_raw)
     ]
-    if any(c is None for c in comps):
+    if fld is None or any(c is None for c in comps):
         return None
     for i, (comp, cn) in enumerate(zip(fld.components, comps)):
         # bounded jitter only: a nonpositive Gaussian draw fails at run time (exit 3)
@@ -423,7 +421,7 @@ def load_config(path: str) -> ExperimentConfig:
     warnings_list: list[str] = []
     system = _build_system(raw, problems)
     fld = _build_field(raw, problems)
-    noise = _build_noise(raw, fld, problems) if fld is not None else None
+    noise = _build_noise(raw, fld, problems)
     evaluator = _guard(
         problems, "evaluator", Evaluator, raw.get("evaluator", "closed-form")
     )
@@ -680,11 +678,7 @@ def main(argv=None) -> int:
 
     try:
         record = run_experiment(config, seed_override=args.seed)
-    except (
-        QuadratureConvergenceError,
-        IntegrationFailureError,
-        EnsembleEvaluationError,
-    ) as exc:
+    except (QuadratureConvergenceError, EnsembleEvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:  # a finite but huge setting: overflow, inf or nan

@@ -24,14 +24,6 @@ class DegenerateCumulantsError(ValueError):
     """
 
 
-class IntegrationFailureError(RuntimeError):
-    """Adaptive step size underflowed; carries the time that was reached."""
-
-    def __init__(self, message: str, t_reached: float):
-        super().__init__(f"{message} (reached t = {t_reached!r})")
-        self.t_reached = t_reached
-
-
 class EnsembleEvaluationError(RuntimeError):
     """An evaluator failed inside an ensemble; carries the sample index."""
 

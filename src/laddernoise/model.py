@@ -113,9 +113,6 @@ class GaussianEnvelope:
         t = np.asarray(t, dtype=float)
         return np.exp(-math.pi * t * t / (self.tau * self.tau))
 
-    def value_scalar(self, t: float) -> float:
-        return math.exp(-math.pi * t * t / (self.tau * self.tau))
-
     def spectrum(self, omega: float) -> complex:
         # square the ratio omega / sigma, because sigma^2 underflows to 0 for
         # tau above about 1e154; x * x overflows to inf (exp gives 0) where
@@ -150,9 +147,6 @@ class RectangularEnvelope:
     def value(self, t):
         t = np.asarray(t, dtype=float)
         return ((t >= 0.0) & (t <= self.duration)).astype(float)
-
-    def value_scalar(self, t: float) -> float:
-        return 1.0 if 0.0 <= t <= self.duration else 0.0
 
     def spectrum(self, omega: float) -> complex:
         # (e^{i w T} - 1)/(i w) = [sin(wT) + 2 i sin^2(wT/2)] / w, which is

@@ -28,11 +28,11 @@ from .model import (
 )
 from .perturbation import (
     _delay_grid,
-    _refine,
     amplitude_time_quadrature,
     closed_form_amplitude,
     transition_yield,
 )
+from .quadrature import _refine
 from .tdse import default_propagation_spec, population, propagate
 
 

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import (
     AccuracyWarning,
     DegenerateCumulantsError,
-    QuadratureConvergenceError,
     ValidityWarning,
 )
 from .model import (
@@ -44,6 +43,7 @@ from .model import (
     RectangularEnvelope,
     detunings_for,
 )
+from .quadrature import _panel_levels, _panel_rule, _refine
 
 # Oscillation bound for the Gaussian closed form: beyond |D_k|/(N sigma) of
 # about this value plain quadrature degrades and only the asymptote remains.
@@ -102,61 +102,9 @@ def transition_yield(
     return abs(amplitude.scaled) ** 2 * prod**2
 
 
-def _refine(levels, evaluate, tol: float, floor: float, what: str):
-    """``evaluate`` at the first of ``levels`` whose value agrees with the one before.
-
-    Two successive values agree when ``|cur - prev| <= max(tol * |cur|, floor)``.
-    A last level that still disagrees raises :class:`QuadratureConvergenceError`
-    with the last difference as the achieved error; fewer than two levels raise
-    it before anything is evaluated.
-    """
-    err = math.inf
-    if len(levels) >= 2:
-        prev = evaluate(levels[0])
-        for level in levels[1:]:
-            cur = evaluate(level)
-            err = abs(cur - prev)
-            if err <= max(tol * abs(cur), floor):
-                return cur
-            prev = cur
-    raise QuadratureConvergenceError(f"{what} did not converge", achieved=err)
-
-
 # ---------------------------------------------------------------------------
 # nested time-ordered quadrature
 # ---------------------------------------------------------------------------
-
-
-# Gauss-Legendre nodes per panel of the time-ordered quadrature
-_PANEL_NODES = 16
-# total nodes at which the panel doubling gives up
-_MAX_NODES = 2**23 + 1
-
-
-@lru_cache(maxsize=None)
-def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] and the integration matrix.
-
-    Row j of the matrix maps samples at the nodes to the integral from -1 to
-    node j of their interpolating polynomial: the samples go to Legendre
-    coefficients by the discrete orthogonality of the nodes, and each
-    Legendre polynomial is integrated exactly.
-    """
-    leg = np.polynomial.legendre
-    p = _PANEL_NODES
-    # Newton on P_p from its asymptotic roots rather than leggauss, whose
-    # eigenvalue solver pages in LAPACK: about 1 MB of resident memory
-    top = np.eye(p + 1)[p]
-    slope = leg.legder(top)
-    x = np.cos(np.pi * (np.arange(p, 0, -1) - 0.25) / (p + 0.5))
-    for _ in range(6):
-        x -= leg.legval(x, top) / leg.legval(x, slope)
-    w = 2.0 / ((1.0 - x * x) * leg.legval(x, slope) ** 2)
-    to_coef = leg.legvander(x, p - 1).T * w * (np.arange(p) + 0.5)[:, None]
-    matrix = leg.legvander(x, p) @ leg.legint(np.eye(p), lbnd=-1) @ to_coef
-    for a in (x, w, matrix):
-        a.setflags(write=False)
-    return x, w, matrix
 
 
 def _panel_integral(env, deltas, t0: float, t1: float, panels: int) -> complex:
@@ -211,14 +159,9 @@ def amplitude_time_quadrature(
     t0, t1 = env.support()
     fastest = max(abs(d) for d in detunings.deltas)
     nodes = (t1 - t0) * max(20.0 * fastest / (2 * math.pi), 12.0 / env.effective_duration)
-    # a start past the cap, even an infinite one, leaves no level at all
-    panels = math.ceil(min(nodes, _MAX_NODES) / _PANEL_NODES)
-    levels = []
-    while _PANEL_NODES * panels <= _MAX_NODES:
-        levels.append(panels)
-        panels *= 2
     floor = tol * 1e-4 * env.effective_duration**n / math.factorial(n)
-    value = _refine(levels, lambda p: _panel_integral(env, detunings.deltas, t0, t1, p),
+    value = _refine(_panel_levels(nodes),
+                    lambda p: _panel_integral(env, detunings.deltas, t0, t1, p),
                     tol, floor, "time-ordered quadrature")
     return TransitionAmplitude.from_scaled(
         (1j) ** n * value, system, field, AmplitudeMethod.TIME_QUADRATURE

@@ -826,6 +826,18 @@ class TestExitCodes:
         assert "noise.components[1]: unknown key 'amplitud'" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_noise_is_checked_without_a_field(self, tmp_path, capsys):
+        with open(os.path.join(DOCS, "noise_cooperation_optimize.json")) as fh:
+            cfg = json.load(fh)
+        cfg["field"]["envelope"]["tau"] = "x"
+        cfg["noise"]["components"][0]["bogus"] = 1
+        cfg["noise"]["components"][1]["amplitude"]["half_width"] = -1
+        assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "field.envelope: need a number, got 'x'" in err
+        assert "noise.components[0]: unknown key 'bogus'" in err
+        assert "noise.components[1]: half_width must be nonnegative" in err
+
     @pytest.mark.parametrize(
         "site,named",
         [
@@ -956,6 +968,11 @@ class TestExitCodes:
         "base,changes",
         [
             ("three-rung", {("field", "components", 0, "amplitude"): 1e200}),  # the yield
+            # the first panel count of the propagator is past the node cap
+            ("three-rung", {("field", "components", 0, "amplitude"): 1e30,
+                            ("field", "components", 1, "amplitude"): 1e30,
+                            ("field", "components", 2, "amplitude"): 1e30,
+                            ("evaluator",): "tdse"}),
             ("three-rung", {("field", "envelope", "tau"): 1e120}),  # s^N
             ("three-rung", {("field", "envelope"): {"kind": "rectangular", "duration": 1e120}}),
             # the quadrature floor tau^N / N!
@@ -972,7 +989,7 @@ class TestExitCodes:
                           ("field", "components", 0, "frequency"): 70.0,
                           ("field", "components", 1, "frequency"): 117.0}),
         ],
-        ids=["amplitude", "tau", "duration", "perturb-time", "scan",
+        ids=["amplitude", "tdse-amplitude", "tau", "duration", "perturb-time", "scan",
              "resonant-tau", "rect-equal-duration", "rect-distinct-duration"],
     )
     def test_finite_huge_value_is_a_numerical_failure(self, tmp_path, capsys, base, changes):

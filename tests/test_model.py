@@ -56,7 +56,7 @@ class TestLadderSystem:
 class TestEnvelopes:
     def test_gaussian_construction_identities(self):
         env = GaussianEnvelope(2.5)
-        assert env.value_scalar(0.0) == 1.0
+        assert env.value(0.0) == 1.0
         assert complex(env.spectrum(0.0)) == pytest.approx(2.5, rel=1e-12)
         assert env.sigma * env.tau == pytest.approx(2 * math.sqrt(math.pi), abs=0)
 
@@ -84,8 +84,8 @@ class TestEnvelopes:
 
     def test_rectangular_support(self):
         env = RectangularEnvelope(1.0)
-        assert env.value_scalar(2.0) == 0.0
-        assert env.value_scalar(0.5) == 1.0
+        assert env.value(2.0) == 0.0
+        assert env.value(0.5) == 1.0
 
 
 class TestControlField:

@@ -28,16 +28,16 @@ from laddernoise import (
 )
 import laddernoise.noise as noise_module
 import laddernoise.perturbation as perturbation_module
+import laddernoise.quadrature as quadrature_module
 from laddernoise.noise import _PAIR_NODE_LADDERS
 from laddernoise.perturbation import (
     _NODE_LADDERS,
-    _PANEL_NODES,
     _damping_matrix,
     _delay_frequencies,
     _delay_grid,
-    _panel_rule,
     _separable_delay_integral,
 )
+from laddernoise.quadrature import _PANEL_NODES, _panel_rule
 
 # Carriers far above the envelope bandwidth keep each component associated
 # with its own transition; the closed forms assume exactly that.
@@ -214,7 +214,7 @@ class TestRefinement:
         [
             # two panel counts, 34 and 68, fit under this cap; their values
             # differ by round-off, about 3e-17, far above the 5e-20 floor
-            (lambda mp: mp.setattr(perturbation_module, "_MAX_NODES", 2**11),
+            (lambda mp: mp.setattr(quadrature_module, "_MAX_NODES", 2**11),
              lambda: time_ordered(1e-15)),
             (lambda mp: mp.setitem(_NODE_LADDERS, 2, (16, 24)),
              lambda: gaussian_delay(1e-15)),
