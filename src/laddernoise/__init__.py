@@ -11,7 +11,6 @@ Schroedinger propagator.
 __version__ = "0.1.0"
 
 from .errors import (
-    AccuracyWarning,
     ConfigError,
     DegenerateCumulantsError,
     EnsembleEvaluationError,
@@ -75,7 +74,6 @@ from .tdse import (
 )
 
 __all__ = [
-    "AccuracyWarning",
     "AmplitudeMethod",
     "ComponentNoise",
     "ConfigError",

@@ -45,7 +45,3 @@ class ConfigError(ValueError):
 
 class ValidityWarning(UserWarning):
     """An asymptotic formula was evaluated outside its validity regime."""
-
-
-class AccuracyWarning(UserWarning):
-    """A quadrature was evaluated where its accuracy is expected to degrade."""

@@ -52,6 +52,10 @@ class LadderSystem:
             raise ValueError("energies must be strictly increasing")
         if any(m == 0.0 for m in self.dipoles):
             raise ValueError("dipoles must all be nonzero")
+        # the gaps, kept off the fields so that eq, hash and repr ignore them;
+        # every shot of an ensemble reads them
+        e = self.energies
+        object.__setattr__(self, "_gaps", tuple(e[n] - e[n - 1] for n in range(1, len(e))))
 
     @property
     def n_transitions(self) -> int:
@@ -60,8 +64,7 @@ class LadderSystem:
 
 def transition_frequencies(system: LadderSystem) -> tuple[float, ...]:
     """Adjacent level gaps eps_n - eps_{n-1} for n = 1..N (all positive)."""
-    e = system.energies
-    return tuple(e[n] - e[n - 1] for n in range(1, len(e)))
+    return system._gaps
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,7 @@ def detunings_for(system: LadderSystem, field: ControlField) -> Detunings:
 
     Requires one component per transition (component l drives transition l).
     """
-    wbar = transition_frequencies(system)
+    wbar = system._gaps
     if len(field.components) != len(wbar):
         raise ValueError(
             f"field has {len(field.components)} components but the ladder has "

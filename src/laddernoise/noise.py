@@ -147,9 +147,12 @@ def sample_stream(seed: int, sample_index: int) -> np.random.Generator:
 def draw_offsets(noise: NoiseSpec, samples: int, seed: int) -> np.ndarray:
     """The (samples, M, 3) table of (amplitude, phase, frequency) shot offsets.
 
-    Row i draws from ``sample_stream(seed, i)``, component by component and
-    amplitude, phase, frequency within a component; a kind without noise
-    draws nothing and stores 0.0.  The table does not depend on the field.
+    Row i draws from the stream of ``sample_stream(seed, i)``, component by
+    component and amplitude, phase, frequency within a component; a kind
+    without noise draws nothing and stores 0.0.  The table does not depend on
+    the field.  One Philox generator serves every row: before row i its key
+    becomes (seed, i), its counter 0 and its output buffer empty, which is
+    the state a new ``sample_stream(seed, i)`` starts in.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -157,8 +160,12 @@ def draw_offsets(noise: NoiseSpec, samples: int, seed: int) -> np.ndarray:
     table = np.zeros((samples, len(noise.components), 3))
     if not noise.active:  # nothing to draw: no stream is opened
         return table
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    fresh = bits.state  # counter 0, buffer_pos 4 (empty), has_uint32 0
     for i in range(samples):
-        rng = sample_stream(seed, i)
+        fresh["state"]["key"][1] = i
+        bits.state = fresh
         for j, cn in enumerate(noise.components):
             for k, dist in enumerate((cn.amplitude, cn.phase, cn.frequency)):
                 if dist is not None:
@@ -278,19 +285,21 @@ def ensemble_average(
         raise ValueError(f"need a (samples >= 2, M, 3) offset table, got {offsets.shape}")
     check_target(system, evaluator, target_index)
 
-    yields = np.empty(samples, dtype=float)
-    clamp_counts = np.zeros(samples, dtype=int)
+    yields = []
+    clamp_events = 0
     for i in range(samples):
         try:
-            fld, clamp_counts[i] = sample_field(nominal, offsets[i].tolist())
-            yields[i] = single_shot(system, fld, evaluator, target_index, tolerances)[0]
+            # row by row: one tolist of the whole table costs more memory
+            fld, clamped = sample_field(nominal, offsets[i].tolist())
+            yields.append(single_shot(system, fld, evaluator, target_index, tolerances)[0])
         except Exception as exc:  # annotate with the failing sample
             raise EnsembleEvaluationError(i, exc) from exc
+        clamp_events += clamped
 
     mean = pairwise_sum(yields) / samples
-    sample_var = pairwise_sum((yields - mean) ** 2) / (samples - 1)
+    sample_var = pairwise_sum([(y - mean) * (y - mean) for y in yields]) / (samples - 1)
     std_error = math.sqrt(sample_var / samples)
-    return EnsembleStats(mean, std_error, int(clamp_counts.sum()))
+    return EnsembleStats(mean, std_error, clamp_events)
 
 
 # ---------------------------------------------------------------------------

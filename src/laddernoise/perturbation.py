@@ -31,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    AccuracyWarning,
     DegenerateCumulantsError,
+    QuadratureConvergenceError,
     ValidityWarning,
 )
 from .model import (
@@ -43,10 +43,11 @@ from .model import (
     RectangularEnvelope,
     detunings_for,
 )
-from .quadrature import _panel_levels, _panel_rule, _refine
+from .quadrature import _PANEL_NODES, _panel_levels, _panel_rule, _refine
 
 # Oscillation bound for the Gaussian closed form: beyond |D_k|/(N sigma) of
-# about this value plain quadrature degrades and only the asymptote remains.
+# this value its delay integral is slow (N = 2, 3) or does not converge
+# (N = 4, 5), while the time-ordered quadrature takes milliseconds.
 _OSCILLATION_BOUND = 10.0
 
 
@@ -107,7 +108,32 @@ def transition_yield(
 # ---------------------------------------------------------------------------
 
 
-def _panel_integral(env, deltas, t0: float, t1: float, panels: int) -> complex:
+# the grid cache keeps at most this many grids of at most this many nodes:
+# 4 x (two float arrays of 2^18 nodes) = 16 MiB
+_CACHED_GRIDS = 4
+_CACHED_GRID_NODES = 2**18
+
+
+def _panel_grid(env, panels: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Panel half-width, node times and envelope samples on ``env``'s support.
+
+    The (node, panel) arrays ``t`` and ``s = env.value(t)`` are read-only,
+    because :func:`_cached_panel_grid` hands the same ones to every caller.
+    """
+    x = _panel_rule()[0]
+    t0, t1 = env.support()
+    half = (t1 - t0) / (2 * panels)
+    t = half * x[:, None] + (t0 + half * (2 * np.arange(panels) + 1))
+    s = env.value(t)
+    t.setflags(write=False)
+    s.setflags(write=False)
+    return half, t, s
+
+
+_cached_panel_grid = lru_cache(maxsize=_CACHED_GRIDS)(_panel_grid)
+
+
+def _panel_integral(env, deltas, panels: int) -> complex:
     """Nested integral of prod_k s(t_k) exp(-i delta_k t_k) on equal panels.
 
     Each leg's running antiderivative is, inside a panel, the integration
@@ -115,18 +141,34 @@ def _panel_integral(env, deltas, t0: float, t1: float, panels: int) -> complex:
     earlier panels' totals, joins the panels.  Samples are laid out (node,
     panel), so viewed as (re, im) pairs each panel is two real columns and
     the real matrix and weights act by real matmuls.
+
+    The grid of one (envelope, panel count) is built once while it stays in
+    the cache: the last ``_CACHED_GRIDS`` grids of at most
+    ``_CACHED_GRID_NODES`` nodes are kept (16 MiB at most), so a scan
+    refines on the same two or three grids at every point, and a larger grid
+    is built afresh.  ``s exp(-i d t)`` is formed once per distinct
+    detuning, the first leg is not multiplied by its unit antiderivative,
+    and the last leg forms no antiderivative, only its panel totals.  None of
+    the three changes a bit of the value.
     """
-    x, w, matrix = _panel_rule()
-    half = (t1 - t0) / (2 * panels)
-    t = half * x[:, None] + (t0 + half * (2 * np.arange(panels) + 1))
-    s = env.value(t)
-    running = 1.0
+    small = panels * _PANEL_NODES <= _CACHED_GRID_NODES
+    half, t, s = (_cached_panel_grid if small else _panel_grid)(env, panels)
+    _, w, matrix = _panel_rule()
+    integrands = {}
+    g = None
     for d in deltas:
-        g = (s * np.exp(-1j * d * t) * running).view(np.float64)
+        f = integrands.get(d)
+        if f is None:
+            f = integrands[d] = s * np.exp(-1j * d * t)
+        if g is not None:
+            # times the previous leg's antiderivative, its carry joining the panels
+            carry = totals.cumsum() - totals
+            f = f * ((matrix @ g).view(np.complex128) * half + carry)
+        g = f.view(np.float64)
         totals = (w @ g).view(np.complex128) * half
-        carry = np.cumsum(totals) - totals
-        running = (matrix @ g).view(np.complex128) * half + carry
-    return complex(carry[-1] + totals[-1])
+    # the last leg's carry plus its last total, rounded as the carry is
+    # everywhere else; the bare cumulative sum can differ in the last bit
+    return complex((totals.cumsum()[-1] - totals[-1]) + totals[-1])
 
 
 def amplitude_time_quadrature(
@@ -161,7 +203,7 @@ def amplitude_time_quadrature(
     nodes = (t1 - t0) * max(20.0 * fastest / (2 * math.pi), 12.0 / env.effective_duration)
     floor = tol * 1e-4 * env.effective_duration**n / math.factorial(n)
     value = _refine(_panel_levels(nodes),
-                    lambda p: _panel_integral(env, detunings.deltas, t0, t1, p),
+                    lambda p: _panel_integral(env, detunings.deltas, p),
                     tol, floor, "time-ordered quadrature")
     return TransitionAmplitude.from_scaled(
         (1j) ** n * value, system, field, AmplitudeMethod.TIME_QUADRATURE
@@ -283,14 +325,6 @@ def scaled_amplitude_gaussian(
     frequencies = _delay_frequencies(detunings)
     sigma = envelope.sigma
     tau = envelope.tau
-    osc = max(abs(f) for f in frequencies) / (n * sigma)
-    if osc > _OSCILLATION_BOUND:
-        warnings.warn(
-            f"oscillation rate {osc:.1f} exceeds the supported bound "
-            f"{_OSCILLATION_BOUND}; accuracy degrades, consider the asymptote",
-            AccuracyWarning,
-            stacklevel=2,
-        )
     freq = tuple(f / (n * sigma) for f in frequencies)
     integral = _refine(_NODE_LADDERS[n],
                        lambda nodes: _separable_delay_integral(*_delay_grid(n, nodes), freq),
@@ -368,8 +402,10 @@ def closed_form_amplitude(
     Equal detunings use ``i^N S(-delta)^N / N!`` for either envelope (labelled
     ``rect-equal`` on a rectangular one); otherwise the
     Gaussian delay integral (2 <= N <= 5) or the rectangular residue sum
-    applies, falling back to time-domain quadrature for other rung counts
-    and for degenerate rectangular cumulants.
+    applies.  The time-ordered quadrature (method ``time-quadrature``) takes
+    over for other rung counts, for degenerate rectangular cumulants, for a
+    Gaussian oscillation rate ``max_k |D_k| / (N sigma)`` above 10 and for a
+    Gaussian delay integral whose node ladder runs out.
     ``tol`` bounds the relative error of any quadrature involved.
     """
     det = detunings_for(system, field)
@@ -383,11 +419,16 @@ def closed_form_amplitude(
                   else AmplitudeMethod.RESONANT_CLOSED_FORM)
         return TransitionAmplitude.from_scaled(scaled, system, field, method)
     if isinstance(field.envelope, GaussianEnvelope):
-        if n in _NODE_LADDERS:
-            scaled = scaled_amplitude_gaussian(det, field.envelope, tol=tol)
-            return TransitionAmplitude.from_scaled(
-                scaled, system, field, AmplitudeMethod.GAUSSIAN_CLOSED_FORM
-            )
+        rate = max(abs(f) for f in _delay_frequencies(det)) / (n * field.envelope.sigma)
+        if n in _NODE_LADDERS and rate <= _OSCILLATION_BOUND:
+            try:
+                scaled = scaled_amplitude_gaussian(det, field.envelope, tol=tol)
+            except QuadratureConvergenceError:
+                pass  # the ladder ran out: the time quadrature below takes over
+            else:
+                return TransitionAmplitude.from_scaled(
+                    scaled, system, field, AmplitudeMethod.GAUSSIAN_CLOSED_FORM
+                )
     else:
         try:
             scaled = scaled_amplitude_rect_distinct(det, field.envelope.duration)

@@ -120,9 +120,9 @@ class TestDrawOffsets:
 
     def test_quiet_spec_opens_no_stream(self, monkeypatch):
         calls = []
-        real = noise_module.sample_stream
+        real = np.random.Philox
         monkeypatch.setattr(
-            noise_module, "sample_stream", lambda *a: calls.append(a) or real(*a)
+            noise_module.np.random, "Philox", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
         quiet = NoiseSpec.quiet(2)
         table = draw_offsets(quiet, 100, 5)
@@ -130,6 +130,9 @@ class TestDrawOffsets:
         assert table.shape == (100, 2, 3) and not table.any()
         with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
             draw_offsets(quiet, 2, -1)
+        # a noisy table opens one generator, whatever its row count
+        draw_offsets(self.MIXED, 100, 5)
+        assert len(calls) == 1
 
 
 class TestSampling:

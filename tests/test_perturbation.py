@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from laddernoise import (
-    AccuracyWarning,
     AmplitudeMethod,
     ControlField,
     DegenerateCumulantsError,
@@ -165,6 +164,73 @@ class TestPanelRule:
         assert amplitude_time_quadrature(ladder(3), f) == first
 
 
+def reference_panel_integral(env, deltas, panels):
+    """The panel loop with a fresh grid, phase vector and antiderivative for every leg."""
+    x, w, matrix = _panel_rule()
+    t0, t1 = env.support()
+    half = (t1 - t0) / (2 * panels)
+    t = half * x[:, None] + (t0 + half * (2 * np.arange(panels) + 1))
+    s = env.value(t)
+    running = 1.0
+    for d in deltas:
+        g = (s * np.exp(-1j * d * t) * running).view(np.float64)
+        totals = (w @ g).view(np.complex128) * half
+        carry = np.cumsum(totals) - totals
+        running = (matrix @ g).view(np.complex128) * half + carry
+    return complex(carry[-1] + totals[-1])
+
+
+# one to four legs with equal, distinct and partly repeated detunings
+PANEL_DELTAS = [
+    (0.7,),
+    (1.3, 1.3),
+    (0.4, -1.1),
+    (2.2, 2.2, 2.2),
+    (0.4, -1.1, 2.5),
+    (0.9, -0.6, 0.9),
+    (-1.2, -1.2, -1.2, -1.2),
+    (0.9, 0.9, -0.6, 0.9),
+    (1.5, -0.3, 2.0, -2.5),
+]
+
+
+class TestPanelIntegral:
+    @pytest.mark.parametrize("panels", [1, 3, 12, 40])
+    @pytest.mark.parametrize("deltas", PANEL_DELTAS, ids=str)
+    @pytest.mark.parametrize("env", [GaussianEnvelope(1.3), RectangularEnvelope(2.5)], ids=repr)
+    def test_matches_reference_loop(self, monkeypatch, env, deltas, panels):
+        expected = reference_panel_integral(env, deltas, panels)
+        # the first call may build the grid, the second finds it cached
+        assert perturbation_module._panel_integral(env, deltas, panels) == expected
+        assert perturbation_module._panel_integral(env, deltas, panels) == expected
+        # and a grid too large to cache is built afresh
+        monkeypatch.setattr(perturbation_module, "_CACHED_GRID_NODES", 0)
+        assert perturbation_module._panel_integral(env, deltas, panels) == expected
+
+    def test_cached_grids_are_read_only(self):
+        _, t, s = perturbation_module._cached_panel_grid(GaussianEnvelope(0.8), 12)
+        assert t.shape == s.shape == (_PANEL_NODES, 12)
+        for a in (t, s):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+
+    def test_cache_is_bounded(self, monkeypatch):
+        cached = perturbation_module._cached_panel_grid
+        assert cached.cache_info().maxsize == perturbation_module._CACHED_GRIDS
+        # every kept grid is two float arrays of at most _CACHED_GRID_NODES
+        bound = (perturbation_module._CACHED_GRIDS * 2
+                 * perturbation_module._CACHED_GRID_NODES * np.dtype(float).itemsize)
+        assert bound <= 16 * 2**20
+        for k in range(3 * perturbation_module._CACHED_GRIDS):
+            perturbation_module._panel_integral(GaussianEnvelope(1.0 + k), (0.5, 0.5), 4)
+        assert cached.cache_info().currsize == perturbation_module._CACHED_GRIDS
+        # a panel count past the node bound leaves the cache alone
+        monkeypatch.setattr(perturbation_module, "_CACHED_GRID_NODES", 4 * _PANEL_NODES)
+        before = cached.cache_info()
+        perturbation_module._panel_integral(GaussianEnvelope(0.7), (0.5, 0.5), 8)
+        assert cached.cache_info() == before
+
+
 SIGMA = GaussianEnvelope(1.0).sigma
 
 
@@ -287,11 +353,23 @@ class TestGaussianClosedForm:
                 Detunings((0.1, 0.2)), RectangularEnvelope(1.0)
             )
 
-    def test_warns_on_fast_oscillation(self):
+    def test_fast_oscillation_falls_back_to_time_quadrature(self):
+        # oscillation rate |D_1| / (N sigma) = 15, past the bound of 10
         env = GaussianEnvelope(1.0)
-        deltas = (40 * env.sigma, -40 * env.sigma)
-        with pytest.warns(AccuracyWarning):
-            scaled_amplitude_gaussian(Detunings(deltas), env)
+        system = ladder(2)
+        f = detuned_field(system, (15 * env.sigma, -15 * env.sigma), env)
+        amp = closed_form_amplitude(system, f, tol=1e-7)
+        assert amp.method is AmplitudeMethod.TIME_QUADRATURE
+        assert amp == amplitude_time_quadrature(system, f, tol=1e-7)
+
+    def test_delay_ladder_that_runs_out_falls_back_to_time_quadrature(self, monkeypatch):
+        monkeypatch.setitem(_NODE_LADDERS, 2, (64,))
+        env = GaussianEnvelope(1.0)
+        system = ladder(2)
+        f = detuned_field(system, (0.4 * env.sigma, -0.1 * env.sigma), env)
+        amp = closed_form_amplitude(system, f, tol=1e-7)
+        assert amp.method is AmplitudeMethod.TIME_QUADRATURE
+        assert amp == amplitude_time_quadrature(system, f, tol=1e-7)
 
 
 # exact binary fractions, so the zero-frequency case below is exactly zero

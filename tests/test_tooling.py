@@ -80,6 +80,12 @@ def test_traced_counts_match_expected_trace(tmp_path, name, sizes):
     assert {key: metrics[key] for key in expected} == expected
 
 
+def test_tier1_runs_blas_on_one_thread(monkeypatch):
+    # conftest.py pins the thread count before numpy loads its BLAS
+    monkeypatch.syspath_prepend(PERFBENCH)  # child.py imports layers.py by name
+    assert load_perfbench("child").blas_threads() == 1
+
+
 def test_readme_quick_start_runs():
     # the documented library calls must keep working as the API changes
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
