@@ -43,7 +43,7 @@ from .model import (
     RectangularEnvelope,
     detunings_for,
 )
-from .quadrature import _PANEL_NODES, _panel_levels, _panel_rule, _refine
+from .quadrature import _panel_blocks, _panel_levels, _panel_rule, _panel_times, _refine
 
 # Oscillation bound for the Gaussian closed form: beyond |D_k|/(N sigma) of
 # this value its delay integral is slow (N = 2, 3) or does not converge
@@ -108,29 +108,26 @@ def transition_yield(
 # ---------------------------------------------------------------------------
 
 
-# the grid cache keeps at most this many grids of at most this many nodes:
-# 4 x (two float arrays of 2^18 nodes) = 16 MiB
-_CACHED_GRIDS = 4
-_CACHED_GRID_NODES = 2**18
+# the block cache keeps this many blocks:
+# 4 x (two float arrays of 16 x 4,096 nodes) = 4 MiB
+_CACHED_BLOCKS = 4
 
 
-def _panel_grid(env, panels: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Panel half-width, node times and envelope samples on ``env``'s support.
+@lru_cache(maxsize=_CACHED_BLOCKS)
+def _panel_block(env, panels: int, first: int, stop: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Half-width, node times and envelope samples of panels ``first`` to ``stop - 1``.
 
-    The (node, panel) arrays ``t`` and ``s = env.value(t)`` are read-only,
-    because :func:`_cached_panel_grid` hands the same ones to every caller.
+    ``env``'s support is cut into ``panels`` panels.  The (node, panel) arrays
+    ``t`` and ``s = env.value(t)`` are read-only, because the cache hands the
+    same ones to every caller.
     """
-    x = _panel_rule()[0]
     t0, t1 = env.support()
     half = (t1 - t0) / (2 * panels)
-    t = half * x[:, None] + (t0 + half * (2 * np.arange(panels) + 1))
+    t = _panel_times(t0, half, first, stop)
     s = env.value(t)
     t.setflags(write=False)
     s.setflags(write=False)
     return half, t, s
-
-
-_cached_panel_grid = lru_cache(maxsize=_CACHED_GRIDS)(_panel_grid)
 
 
 def _panel_integral(env, deltas, panels: int) -> complex:
@@ -142,33 +139,39 @@ def _panel_integral(env, deltas, panels: int) -> complex:
     panel), so viewed as (re, im) pairs each panel is two real columns and
     the real matrix and weights act by real matmuls.
 
-    The grid of one (envelope, panel count) is built once while it stays in
-    the cache: the last ``_CACHED_GRIDS`` grids of at most
-    ``_CACHED_GRID_NODES`` nodes are kept (16 MiB at most), so a scan
-    refines on the same two or three grids at every point, and a larger grid
-    is built afresh.  ``s exp(-i d t)`` is formed once per distinct
-    detuning, the first leg is not multiplied by its unit antiderivative,
-    and the last leg forms no antiderivative, only its panel totals.  None of
-    the three changes a bit of the value.
+    The panels are swept in the blocks of :mod:`laddernoise.quadrature`, so
+    memory is bounded at any panel count, and each leg's carry runs on from
+    one block into the next.  The last ``_CACHED_BLOCKS`` blocks stay cached
+    (4 MiB at most), so a scan refines on the same two or three grids at every
+    point.  ``s exp(-i d t)`` is formed once per distinct detuning and block,
+    the first leg is not multiplied by its unit antiderivative, and the last
+    leg forms no antiderivative, only its panel totals.  None of the three
+    changes a bit of the value.
     """
-    small = panels * _PANEL_NODES <= _CACHED_GRID_NODES
-    half, t, s = (_cached_panel_grid if small else _panel_grid)(env, panels)
     _, w, matrix = _panel_rule()
-    integrands = {}
-    g = None
-    for d in deltas:
-        f = integrands.get(d)
-        if f is None:
-            f = integrands[d] = s * np.exp(-1j * d * t)
-        if g is not None:
-            # times the previous leg's antiderivative, its carry joining the panels
-            carry = totals.cumsum() - totals
-            f = f * ((matrix @ g).view(np.complex128) * half + carry)
-        g = f.view(np.float64)
-        totals = (w @ g).view(np.complex128) * half
-    # the last leg's carry plus its last total, rounded as the carry is
-    # everywhere else; the bare cumulative sum can differ in the last bit
-    return complex((totals.cumsum()[-1] - totals[-1]) + totals[-1])
+    # each leg's antiderivative at the end of the blocks swept so far
+    ends = [0j] * len(deltas)
+    for first, stop in _panel_blocks(panels):
+        half, t, s = _panel_block(env, panels, first, stop)
+        integrands = {}
+        for k, d in enumerate(deltas):
+            f = integrands.get(d)
+            if f is None:
+                f = integrands[d] = s * np.exp(-1j * d * t)
+            if k:
+                # times the previous leg's antiderivative, its carry joining the panels
+                carry = totals.cumsum() - totals
+                if first:
+                    carry += ends[k - 1]
+                if stop < panels:
+                    ends[k - 1] = carry[-1] + totals[-1]
+                f = f * ((matrix @ g).view(np.complex128) * half + carry)
+            g = f.view(np.float64)
+            totals = (w @ g).view(np.complex128) * half
+        # the last leg's carry plus its last total, rounded as the carry is
+        # everywhere else; the bare cumulative sum can differ in the last bit
+        ends[-1] = (ends[-1] + (totals.cumsum()[-1] - totals[-1])) + totals[-1]
+    return complex(ends[-1])
 
 
 def amplitude_time_quadrature(

@@ -1,8 +1,10 @@
-"""The Gauss-Legendre panel rule and the one refinement driver.
+"""The Gauss-Legendre panel rule, its blocks and the one refinement driver.
 
 Shared by the time-ordered quadrature (:mod:`laddernoise.perturbation`), the
 delay integrals and the exact propagator (:mod:`laddernoise.tdse`), so that
 the propagator borrows a numerical rule, not an approximation it checks.
+It owns the block size: both panel integrators sweep their panels in the
+same blocks, so one number bounds the memory of either at any panel count.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .errors import QuadratureConvergenceError
 _PANEL_NODES = 16
 # total nodes at which the panel doubling gives up
 _MAX_NODES = 2**23 + 1
+# panels a panel integrator holds at once
+_BLOCK_PANELS = 4096
 
 
 @lru_cache(maxsize=None)
@@ -57,6 +61,18 @@ def _panel_levels(nodes: float) -> list[int]:
         levels.append(panels)
         panels *= 2
     return levels
+
+
+def _panel_blocks(panels: int) -> list[tuple[int, int]]:
+    """First and end panel of each block of at most ``_BLOCK_PANELS`` panels."""
+    return [(first, min(first + _BLOCK_PANELS, panels))
+            for first in range(0, panels, _BLOCK_PANELS)]
+
+
+def _panel_times(t0: float, half: float, first: int, stop: int) -> np.ndarray:
+    """(node, panel) times of panels ``first`` to ``stop - 1``, ``2 half`` wide, from ``t0``."""
+    mid = t0 + half * (2 * np.arange(first, stop) + 1)
+    return half * _panel_rule()[0][:, None] + mid
 
 
 def _refine(levels, evaluate, tol: float, floor: float, what: str):

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ControlField, LadderSystem, transition_frequencies
-from .quadrature import _PANEL_NODES, _panel_levels, _panel_rule, _refine
+from .quadrature import (
+    _PANEL_NODES, _panel_blocks, _panel_levels, _panel_rule, _panel_times, _refine,
+)
 
-# panels evaluated at once: bounds the memory of a propagation at the node cap
-_BLOCK_PANELS = 4096
 # the Picard iteration stops once its error bound is below this
 _PICARD_EPS = 2.0**-54
 
@@ -129,8 +129,8 @@ def propagate(
     floor ``abs_tol``).  Running out of panel counts raises
     :class:`QuadratureConvergenceError`; a start that leaves fewer than two
     counts under the cap raises before any panel is built.  Panels are
-    evaluated in blocks of 4,096, each multiplied into the state before the
-    next is built.
+    evaluated in the blocks of :mod:`laddernoise.quadrature`, each multiplied
+    into the state before the next is built.
     """
     if spec is None:
         spec = default_propagation_spec(field)
@@ -141,7 +141,7 @@ def propagate(
     if not t0 < t1:
         return StateCoefficients(tuple(start.tolist()), spec.t_end)
 
-    x, _, matrix = _panel_rule()
+    _, _, matrix = _panel_rule()
     wbar = np.array(transition_frequencies(system))
     mus = np.array(system.dipoles)
     fastest = wbar.max() + max(c.frequency for c in field.components)
@@ -158,9 +158,8 @@ def propagate(
         q = max(half * rate, _PICARD_EPS)
         passes = math.ceil(math.log(_PICARD_EPS) / math.log(q)) - 1
         state = start
-        for first in range(0, panels, _BLOCK_PANELS):
-            mid = t0 + half * (2 * np.arange(first, min(first + _BLOCK_PANELS, panels)) + 1)
-            t = (half * x[:, None] + mid)[:, None]
+        for first, stop in _panel_blocks(panels):
+            t = _panel_times(t0, half, first, stop)[:, None]
             low = 1j * field.value(t) * mus[:, None] * np.exp(1j * wbar[:, None] * t)
             for u in np.moveaxis(_panel_propagators(low, half, passes), -1, 0):
                 state = u @ state

@@ -203,32 +203,37 @@ class TestPanelIntegral:
         # the first call may build the grid, the second finds it cached
         assert perturbation_module._panel_integral(env, deltas, panels) == expected
         assert perturbation_module._panel_integral(env, deltas, panels) == expected
-        # and a grid too large to cache is built afresh
-        monkeypatch.setattr(perturbation_module, "_CACHED_GRID_NODES", 0)
-        assert perturbation_module._panel_integral(env, deltas, panels) == expected
+        # and a grid swept in blocks of two panels carries each leg across them
+        monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", 2)
+        blocked = perturbation_module._panel_integral(env, deltas, panels)
+        assert blocked == pytest.approx(expected, rel=1e-13)
 
-    def test_cached_grids_are_read_only(self):
-        _, t, s = perturbation_module._cached_panel_grid(GaussianEnvelope(0.8), 12)
-        assert t.shape == s.shape == (_PANEL_NODES, 12)
-        for a in (t, s):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0, 0] = 1.0
+    def test_cached_grids_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", 8)
+        for first, stop in quadrature_module._panel_blocks(12):
+            _, t, s = perturbation_module._panel_block(GaussianEnvelope(0.8), 12, first, stop)
+            assert t.shape == s.shape == (_PANEL_NODES, stop - first)
+            for a in (t, s):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 1.0
 
     def test_cache_is_bounded(self, monkeypatch):
-        cached = perturbation_module._cached_panel_grid
-        assert cached.cache_info().maxsize == perturbation_module._CACHED_GRIDS
-        # every kept grid is two float arrays of at most _CACHED_GRID_NODES
-        bound = (perturbation_module._CACHED_GRIDS * 2
-                 * perturbation_module._CACHED_GRID_NODES * np.dtype(float).itemsize)
-        assert bound <= 16 * 2**20
-        for k in range(3 * perturbation_module._CACHED_GRIDS):
+        cached = perturbation_module._panel_block
+        assert cached.cache_info().maxsize == perturbation_module._CACHED_BLOCKS
+        # every kept block is two float arrays of at most _BLOCK_PANELS panels
+        bound = (perturbation_module._CACHED_BLOCKS * 2 * _PANEL_NODES
+                 * quadrature_module._BLOCK_PANELS * np.dtype(float).itemsize)
+        assert bound <= 4 * 2**20
+        for k in range(3 * perturbation_module._CACHED_BLOCKS):
             perturbation_module._panel_integral(GaussianEnvelope(1.0 + k), (0.5, 0.5), 4)
-        assert cached.cache_info().currsize == perturbation_module._CACHED_GRIDS
-        # a panel count past the node bound leaves the cache alone
-        monkeypatch.setattr(perturbation_module, "_CACHED_GRID_NODES", 4 * _PANEL_NODES)
+        assert cached.cache_info().currsize == perturbation_module._CACHED_BLOCKS
+        # a grid of many blocks passes through the cache one block at a time
+        monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", 2)
         before = cached.cache_info()
-        perturbation_module._panel_integral(GaussianEnvelope(0.7), (0.5, 0.5), 8)
-        assert cached.cache_info() == before
+        perturbation_module._panel_integral(GaussianEnvelope(0.7), (0.5, 0.5), 20)
+        after = cached.cache_info()
+        assert after.misses - before.misses == 10
+        assert after.currsize == perturbation_module._CACHED_BLOCKS
 
 
 SIGMA = GaussianEnvelope(1.0).sigma

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import laddernoise.quadrature as quadrature_module
 import laddernoise.tdse as tdse_module
 from laddernoise import (
     ControlField,
@@ -223,7 +224,7 @@ class TestBlocks:
             built.append(low.shape[-1])
             return real(low, half, passes)
 
-        monkeypatch.setattr(tdse_module, "_BLOCK_PANELS", 4)
+        monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", 4)
         monkeypatch.setattr(tdse_module, "_panel_propagators", spy)
         blocked = propagate(system, f)
         assert max(built) == 4 and sum(built) > 8

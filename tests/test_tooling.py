@@ -1,5 +1,6 @@
 """The benchmark tracer wraps every binding it names and counts what the
-benchmark expects; the README's code runs."""
+benchmark expects; the panel integrators hold one block at a time; the
+README's code runs."""
 
 import importlib
 import importlib.util
@@ -8,9 +9,22 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import laddernoise.perturbation as perturbation_module
+import laddernoise.quadrature as quadrature_module
+import laddernoise.tdse as tdse_module
+from laddernoise import (
+    ControlField,
+    GaussianEnvelope,
+    LadderSystem,
+    PulseComponent,
+    RectangularEnvelope,
+    propagate,
+)
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -84,6 +98,45 @@ def test_tier1_runs_blas_on_one_thread(monkeypatch):
     # conftest.py pins the thread count before numpy loads its BLAS
     monkeypatch.syspath_prepend(PERFBENCH)  # child.py imports layers.py by name
     assert load_perfbench("child").blas_threads() == 1
+
+
+def peak_bytes(call):
+    """Peak of the memory that numpy and Python allocate during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_panel_integrators_hold_one_block_at_a_time(monkeypatch):
+    # at the node cap a grid is 128 blocks; sweeping it must not cost more
+    # memory than one block, or a tolerance tighter than rounding allows ends
+    # in an out-of-memory kill instead of exit code 3
+    block = 64
+    monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", block)
+    env = GaussianEnvelope(1.0)
+
+    def integral(panels):
+        perturbation_module._panel_block.cache_clear()
+        perturbation_module._panel_integral(env, (0.9, -0.6, 0.7), panels)
+
+    system = LadderSystem((0.0, 25.0, 59.0), (1.0, 1.0))
+    field = ControlField(
+        tuple(PulseComponent(0.05, 0.0, w) for w in (25.0, 34.0)), RectangularEnvelope(3.0)
+    )
+
+    def propagation(panels):
+        # two levels of the one panel count: the value is evaluated twice at it
+        monkeypatch.setattr(tdse_module, "_panel_levels", lambda nodes: [panels, panels])
+        propagate(system, field)
+
+    for run in (integral, propagation):
+        run(block)  # fills the rule caches
+        one = peak_bytes(lambda: run(block))
+        eight = peak_bytes(lambda: run(8 * block))
+        assert eight <= 2 * one, run.__name__
 
 
 def test_readme_quick_start_runs():
