@@ -11,6 +11,9 @@ solved by Gauss-Legendre collocation on the 16-node panels of
 :mod:`laddernoise.quadrature`: on a panel of half-width h the collocation
 solution at the nodes satisfies Y = I + h S A Y, with S the panel's
 integration matrix, and the panel's propagator is I + h sum_j w_j A_j Y_j.
+Y is found by a number of Picard passes fixed in advance from the bound
+(h a)^(k+1) || |S|^(k+1) ||_inf on their error, with a bounding
+||A(t)||_inf; the powers of |S| shrink far faster than ||S||_inf^(k+1).
 Collocation conserves the norm to rounding (Hairer, Lubich & Wanner,
 *Geometric Numerical Integration*, 2nd ed., IV.2).  No rotating-wave
 reduction is applied anywhere: the full real field multiplies both resonant
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,8 +34,13 @@ from .quadrature import (
     _PANEL_NODES, _panel_blocks, _panel_levels, _panel_rule, _panel_times, _refine,
 )
 
-# the Picard iteration stops once its error bound is below this
+# the Picard passes stop once their error bound, relative to the solution,
+# is below this
 _PICARD_EPS = 2.0**-54
+# powers of |S| tabulated for the pass count: at the start rule's largest
+# contraction q = h ||S||_inf max||A|| = 1/2 the bound meets _PICARD_EPS at the
+# 20th power, 19 passes, where the geometric bound q^(k+1) needs 53
+_PICARD_POWERS = 20
 
 
 @dataclass(frozen=True)
@@ -79,33 +88,71 @@ def population(state: StateCoefficients, target_index: int) -> float:
     return abs(state.coeffs[target_index]) ** 2
 
 
+@lru_cache(maxsize=None)
+def _power_norms() -> tuple[float, ...]:
+    """||  |S|^j ||_inf for j = 1 .. _PICARD_POWERS, S the panel integration matrix."""
+    magnitude = np.abs(_panel_rule()[2])
+    power = magnitude
+    norms = []
+    for _ in range(_PICARD_POWERS):
+        norms.append(float(power.sum(axis=1).max()))
+        power = power @ magnitude
+    return tuple(norms)
+
+
+def _picard_passes(q: float) -> int:
+    """Fewest Picard passes k whose error bound is below ``_PICARD_EPS``.
+
+    ``q = h rate`` with ``rate = ||S||_inf a`` and ``a`` a bound on
+    ||A(t)||_inf, so ``h a = q / ||S||_inf``.  With the node-wise norm
+    N(Y)_j = ||Y_j||_inf, N(h S A Y) <= h a |S| N(Y) elementwise, and the
+    error after k passes from Y = I, E_k = -(h S A)^(k+1) Y*, obeys
+    ||E_k|| <= (h a)^(k+1) || |S|^(k+1) ||_inf ||Y*||.  The powers of |S|
+    shrink much faster than ||S||_inf^(k+1), so this needs far fewer passes
+    than the geometric bound q^(k+1).  The start rule keeps q <= 1/2, where
+    the table of ``_PICARD_POWERS`` powers suffices.
+    """
+    norms = _power_norms()
+    ha = q / norms[0]
+    return next(k for k, norm in enumerate(norms) if ha ** (k + 1) * norm <= _PICARD_EPS)
+
+
 def _panel_propagators(low, half: float, passes: int) -> np.ndarray:
     """The propagator of each panel, shape (L, L, panels).
 
     ``low`` holds the subdiagonal A[n+1, n] at the nodes, shape
-    (nodes, L-1, panels); the superdiagonal is -conj(low).  Y = I + h S A Y
+    (L-1, nodes, panels); the superdiagonal is -conj(low).  Y = I + h S A Y
     is solved by ``passes`` Picard passes from Y = I, every panel at once.
-    As in the time-ordered quadrature, the real matrix and weights act on the
-    (re, im) view by real matmuls; the panel axis is last, so every
-    elementwise product runs along it.
+    Y is laid out as (row, node, column, panel), so the two shifted products
+    that make up A Y, rows of Y times the sub- and superdiagonal, are
+    contiguous slabs written into preallocated buffers; h S is formed once
+    and acts on each row's (node, column, panel) slab as a real matmul on its
+    (re, im) view, as in the time-ordered quadrature, and the identity is
+    added through a strided view of the diagonal.  The panel axis is last,
+    so every elementwise product runs along it.
     """
     _, w, matrix = _panel_rule()
-    nodes, rungs, panels = low.shape
+    rungs, nodes, panels = low.shape
     levels = rungs + 1
     low = low[:, :, None]
     high = -low.conj()
-    y = np.zeros((nodes, levels, levels, panels), complex)
-    y_flat = y.reshape(nodes, -1).view(np.float64)
-    diagonal = y.reshape(nodes, levels * levels, panels)[:, :: levels + 1]
+    hs = half * matrix
+    y = np.zeros((levels, nodes, levels, panels), complex)
+    # a strided view of the identity's entries Y[r, :, r, :]
+    diagonal = np.einsum("rnrp->rnp", y)
     diagonal += 1.0
     ay = np.empty_like(y)
-    ay_flat = ay.reshape(nodes, -1).view(np.float64)
+    above = np.empty_like(y[1:])
+    y_flat = y.reshape(levels, nodes, -1).view(np.float64)
+    ay_flat = ay.reshape(levels, nodes, -1).view(np.float64)
     for k in range(passes + 1):
-        np.multiply(low, y[:, :-1], out=ay[:, 1:])
-        ay[:, 0] = 0.0
-        ay[:, :-1] += high * y[:, 1:]
+        # (A Y)[r] = A[r, r-1] Y[r-1] + A[r, r+1] Y[r+1]
+        np.multiply(low, y[:-1], out=ay[1:])
+        np.multiply(high, y[1:], out=above)
+        ay[0] = 0.0
+        ay[:-1] += above
         if k < passes:
-            np.matmul(half * matrix, ay_flat, out=y_flat)
+            np.matmul(hs, ay_flat, out=y_flat)
             diagonal += 1.0
     u = (half * w @ ay_flat).view(np.complex128).reshape(levels, levels, panels)
     u.reshape(levels * levels, panels)[:: levels + 1] += 1.0
@@ -123,7 +170,9 @@ def propagate(
     window overlaps ``field.envelope.support()``: the field vanishes outside,
     so the state does not move there.  The overlap is cut into equal panels,
     at first enough for 4 nodes per period of the fastest phase of A and for
-    h ||S|| max||A|| <= 1/2, so that the Picard iteration contracts.  The
+    h ||S|| max||A|| <= 1/2, so that the Picard iteration contracts; each
+    level's pass count is the fewest whose bound on the powers of |S| (see
+    :func:`_picard_passes`) is below ``_PICARD_EPS``, at most 19.  The
     panel count doubles, up to 2^23 + 1 nodes, until two successive states
     agree in every coefficient to ``rel_tol`` (relative, with the absolute
     floor ``abs_tol``).  Running out of panel counts raises
@@ -141,26 +190,24 @@ def propagate(
     if not t0 < t1:
         return StateCoefficients(tuple(start.tolist()), spec.t_end)
 
-    _, _, matrix = _panel_rule()
-    wbar = np.array(transition_frequencies(system))
-    mus = np.array(system.dipoles)
+    wbar = np.array(transition_frequencies(system))[:, None, None]
+    mus = np.array(system.dipoles)[:, None, None]
     fastest = wbar.max() + max(c.frequency for c in field.components)
     # h * rate bounds the Picard contraction h ||S||_inf max_t ||A(t)||_inf:
     # |E| <= 2 sum_l A_l, and a row of A holds two couplings
-    rate = (float(np.abs(matrix).sum(axis=1).max()) * 4.0
+    rate = (_power_norms()[0] * 4.0
             * sum(c.amplitude for c in field.components) * float(np.abs(mus).max()))
     nodes = (t1 - t0) * max(4.0 * fastest / (2.0 * math.pi), _PANEL_NODES * rate)
 
     def evaluate(panels: int) -> tuple[complex, ...]:
         half = (t1 - t0) / (2 * panels)
-        # passes enough that the iteration error bound q^(passes+1) is below
-        # _PICARD_EPS, fixed from the bound rather than by testing the iterates
-        q = max(half * rate, _PICARD_EPS)
-        passes = math.ceil(math.log(_PICARD_EPS) / math.log(q)) - 1
+        # the pass count is fixed from the bound on the powers of |S|, never
+        # by testing the iterates
+        passes = _picard_passes(half * rate)
         state = start
         for first, stop in _panel_blocks(panels):
-            t = _panel_times(t0, half, first, stop)[:, None]
-            low = 1j * field.value(t) * mus[:, None] * np.exp(1j * wbar[:, None] * t)
+            t = _panel_times(t0, half, first, stop)
+            low = 1j * field.value(t) * mus * np.exp(1j * wbar * t)
             for u in np.moveaxis(_panel_propagators(low, half, passes), -1, 0):
                 state = u @ state
         return tuple(state.tolist())

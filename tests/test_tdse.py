@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import laddernoise.quadrature as quadrature_module
@@ -25,6 +26,8 @@ from laddernoise import (
 )
 
 TWO_LEVEL = LadderSystem((0.0, 30.0), (1.0,))
+ACCEPTANCE_6 = LadderSystem((0.0, 25.0, 59.0), (1.0, 1.0))
+GAUSSIAN_3 = LadderSystem((0.0, 90.0, 261.0, 504.0), (1.0, 1.0, 1.0))
 
 
 def resonant_field(system, amplitude, envelope):
@@ -251,3 +254,109 @@ class TestFailureMode:
             TWO_LEVEL, f, PropagationSpec(0.0, 5e-16, rel_tol=1e-10, abs_tol=1e-14)
         )
         assert abs(state.coeffs[0] - 1.0) <= 1e-15
+
+
+def kernel_calls(system, field, spec=None):
+    """The (low, half, passes) of every panel kernel call of one propagation."""
+    calls = []
+    real = tdse_module._panel_propagators
+
+    def spy(low, half, passes):
+        calls.append((low, half, passes))
+        return real(low, half, passes)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(tdse_module, "_panel_propagators", spy)
+        propagate(system, field, spec)
+    return calls
+
+
+def dense_propagators(low, half):
+    """Each panel's propagator from a dense solve of (I - h S (x) A) Y = I."""
+    _, w, matrix = quadrature_module._panel_rule()
+    rungs, nodes, panels = low.shape
+    levels = rungs + 1
+    a = np.zeros((panels, nodes, levels, levels), complex)
+    for r in range(rungs):
+        a[:, :, r + 1, r] = low[r].T
+        a[:, :, r, r + 1] = -low[r].T.conj()
+    # block (j, m) of the collocation system is delta_jm I - h S[j, m] A_m
+    blocks = -half * matrix[None, :, None, :, None] * a[:, None].transpose(0, 1, 3, 2, 4)
+    system = blocks.reshape(panels, nodes * levels, nodes * levels)
+    system += np.eye(nodes * levels)
+    rhs = np.tile(np.eye(levels), (nodes, 1))
+    y = np.linalg.solve(system, rhs).reshape(panels, nodes, levels, levels)
+    u = np.eye(levels) + half * np.einsum("j,pjab,pjbc->pac", w, a, y)
+    return np.moveaxis(u, 0, -1)
+
+
+def parent_kernel(low, half, passes):
+    """Reference Picard kernel on the (node, row, column, panel) layout."""
+    _, w, matrix = quadrature_module._panel_rule()
+    low = np.moveaxis(low, 0, 1)
+    nodes, rungs, panels = low.shape
+    levels = rungs + 1
+    low = low[:, :, None]
+    high = -low.conj()
+    y = np.zeros((nodes, levels, levels, panels), complex)
+    y_flat = y.reshape(nodes, -1).view(np.float64)
+    diagonal = y.reshape(nodes, levels * levels, panels)[:, :: levels + 1]
+    diagonal += 1.0
+    ay = np.empty_like(y)
+    ay_flat = ay.reshape(nodes, -1).view(np.float64)
+    for k in range(passes + 1):
+        np.multiply(low, y[:, :-1], out=ay[:, 1:])
+        ay[:, 0] = 0.0
+        ay[:, :-1] += high * y[:, 1:]
+        if k < passes:
+            np.matmul(half * matrix, ay_flat, out=y_flat)
+            diagonal += 1.0
+    u = (half * w @ ay_flat).view(np.complex128).reshape(levels, levels, panels)
+    u.reshape(levels * levels, panels)[:: levels + 1] += 1.0
+    return u
+
+
+def relative_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestPicardKernel:
+    @pytest.fixture(scope="class")
+    def calls(self):
+        # the three levels of acceptance test 6 and the start level of the
+        # three-rung Gaussian, as propagate builds them
+        rect = resonant_field(ACCEPTANCE_6, 0.05, RectangularEnvelope(3.0))
+        gauss = resonant_field(GAUSSIAN_3, 0.04, GaussianEnvelope(1.0))
+        acceptance = kernel_calls(ACCEPTANCE_6, rect, PropagationSpec(0.0, 3.0, 1e-10, 1e-13))
+        assert [low.shape[-1] for low, _, _ in acceptance] == [9, 18, 36]
+        return acceptance + kernel_calls(GAUSSIAN_3, gauss)[:1]
+
+    def test_matches_dense_collocation_solve(self, calls):
+        for low, half, passes in calls:
+            u = tdse_module._panel_propagators(low, half, passes)
+            assert relative_gap(u, dense_propagators(low, half)) <= 1e-14
+
+    def test_matches_parent_layout_at_equal_passes(self, calls):
+        for low, half, passes in calls:
+            u = tdse_module._panel_propagators(low, half, passes)
+            assert relative_gap(u, parent_kernel(low, half, passes)) <= 1e-15
+
+    @staticmethod
+    def power_bound(q, passes):
+        # (h a)^(k+1) || |S|^(k+1) ||_inf with h a = q / ||S||_inf
+        magnitude = np.abs(quadrature_module._panel_rule()[2])
+        power = np.linalg.matrix_power(magnitude, passes + 1)
+        return (q / magnitude.sum(axis=1).max()) ** (passes + 1) * power.sum(axis=1).max()
+
+    @pytest.mark.parametrize("q", [1e-20, 1e-9, 1e-4, 0.01, 0.07, 0.2, 0.33, 0.49, 0.5])
+    def test_pass_count_is_the_fewest_that_meets_the_bound(self, q):
+        passes = tdse_module._picard_passes(q)
+        eps = tdse_module._PICARD_EPS
+        assert self.power_bound(q, passes) <= eps
+        assert passes == 0 or self.power_bound(q, passes - 1) > eps
+
+    def test_pass_count_never_exceeds_the_geometric_count(self):
+        eps = tdse_module._PICARD_EPS
+        for q in np.geomspace(1e-18, 0.5, 400):
+            geometric = math.ceil(math.log(eps) / math.log(q)) - 1
+            assert tdse_module._picard_passes(q) <= geometric

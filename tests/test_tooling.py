@@ -1,5 +1,6 @@
 """The benchmark tracer wraps every binding it names and counts what the
 benchmark expects; the panel integrators hold one block at a time; the
+propagator's Picard pass count and its lazy tables stay where they are; the
 README's code runs."""
 
 import importlib
@@ -21,6 +22,7 @@ from laddernoise import (
     ControlField,
     GaussianEnvelope,
     LadderSystem,
+    PropagationSpec,
     PulseComponent,
     RectangularEnvelope,
     propagate,
@@ -137,6 +139,39 @@ def test_panel_integrators_hold_one_block_at_a_time(monkeypatch):
         one = peak_bytes(lambda: run(block))
         eight = peak_bytes(lambda: run(8 * block))
         assert eight <= 2 * one, run.__name__
+
+
+def test_acceptance_6_propagation_pass_count(monkeypatch):
+    # the pass count comes from the bound on the powers of |S|; a looser
+    # bound (the geometric one spent 41 passes here) shows as more passes
+    system = LadderSystem((0.0, 25.0, 59.0), (1.0, 1.0))
+    field = ControlField(
+        tuple(PulseComponent(0.05, 0.0, w) for w in (25.0, 34.0)), RectangularEnvelope(3.0)
+    )
+    passes = []
+    real = tdse_module._panel_propagators
+
+    def spy(low, half, count):
+        passes.append(count)
+        return real(low, half, count)
+
+    monkeypatch.setattr(tdse_module, "_panel_propagators", spy)
+    propagate(system, field, PropagationSpec(0.0, 3.0, 1e-10, 1e-13))
+    assert len(passes) == 3 and sum(passes) <= 28
+
+
+def test_cli_import_builds_no_panel_tables():
+    # the panel rule and the table of powers of |S| are built at first use,
+    # so that a run's set-up time does not pay for them
+    code = (
+        "import laddernoise.cli, laddernoise.quadrature as q, laddernoise.tdse as t; "
+        "print(q._panel_rule.cache_info().currsize, t._power_norms.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_readme_quick_start_runs():
