@@ -43,7 +43,9 @@ from .model import (
     RectangularEnvelope,
     detunings_for,
 )
-from .quadrature import _panel_blocks, _panel_levels, _panel_rule, _panel_times, _refine
+from .quadrature import (
+    _gauss_legendre, _panel_blocks, _panel_levels, _panel_rule, _panel_times, _refine,
+)
 
 # Oscillation bound for the Gaussian closed form: beyond |D_k|/(N sigma) of
 # this value its delay integral is slow (N = 2, 3) or does not converge
@@ -240,8 +242,11 @@ def _damping_matrix(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _truncation_radius(n: int) -> float:
-    # big enough that the damping factor is below 1e-18 everywhere outside
-    lam_min = float(np.linalg.eigvalsh(_damping_matrix(n))[0])
+    # big enough that the damping factor is below 1e-18 everywhere outside.
+    # The damping matrix is the discrete Brownian-bridge covariance
+    # min(k, j) (n - max(k, j)), whose eigenvalues are n / (4 sin^2(m pi / 2n)),
+    # m = 1 .. n-1; the smallest is at m = n - 1
+    lam_min = n / (4.0 * math.cos(math.pi / (2 * n)) ** 2)
     return math.sqrt(4.0 * n * math.log(1e18) / lam_min)
 
 
@@ -249,13 +254,15 @@ def _truncation_radius(n: int) -> float:
 def _delay_grid(n: int, nodes_per_dim: int):
     """Gauss-Legendre nodes on [0, R] and the damped tensor weights on [0, R]^(N-1).
 
+    The 1-D rule comes from :func:`laddernoise.quadrature._gauss_legendre`.
+
     Returns the 1-D nodes ``x`` and the flat (C-order) weight tensor with the
     damping factor exp(-tau.Q.tau / 4N) applied: entry p belongs to the delay
     point whose coordinates are x at the multi-index of p.  The tensor is built
     from open grids, so no point array is ever formed.
     """
     radius = _truncation_radius(n)
-    x, w = np.polynomial.legendre.leggauss(nodes_per_dim)
+    x, w = _gauss_legendre(nodes_per_dim)
     x = radius * (x + 1.0) / 2.0
     w = w * radius / 2.0
     q = _damping_matrix(n)

@@ -31,7 +31,8 @@ import numpy as np
 
 from .model import ControlField, LadderSystem, transition_frequencies
 from .quadrature import (
-    _PANEL_NODES, _panel_blocks, _panel_levels, _panel_rule, _panel_times, _refine,
+    _MAX_NODES, _PANEL_NODES, _panel_blocks, _panel_levels, _panel_rule, _panel_times,
+    _refine,
 )
 
 # the Picard passes stop once their error bound, relative to the solution,
@@ -41,6 +42,9 @@ _PICARD_EPS = 2.0**-54
 # contraction q = h ||S||_inf max||A|| = 1/2 the bound meets _PICARD_EPS at the
 # 20th power, 19 passes, where the geometric bound q^(k+1) needs 53
 _PICARD_POWERS = 20
+# a level's relative error in the term of the state that carries the panel
+# rule's stage defect D twice, in units of D^2; see _start_panels
+_DEFECT_GAIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,53 @@ def _picard_passes(q: float) -> int:
     return next(k for k, norm in enumerate(norms) if ha ** (k + 1) * norm <= _PICARD_EPS)
 
 
+@lru_cache(maxsize=64)
+def _stage_defect(x: float) -> float:
+    """Largest error of the panel integration matrix on exp(i x z) over [-1, 1].
+
+    The exact integrals (z + 1) sinc(x (z + 1) / 2) exp(i x (z - 1) / 2) are
+    free of cancellation.  Shots without frequency noise share their x.
+    """
+    z, _, matrix = _panel_rule()
+    exact = (z + 1.0) * np.sinc(x * (z + 1.0) / (2.0 * np.pi)) * np.exp(0.5j * x * (z - 1.0))
+    pairs = np.exp(1j * x * z).view(np.float64).reshape(-1, 2)
+    error = (matrix @ pairs).view(np.complex128)[:, 0] - exact
+    return math.sqrt(float((error.real ** 2 + error.imag ** 2).max()))
+
+
+def _start_panels(nodes: float, phase: float, rungs: int, area: float,
+                  spec: PropagationSpec) -> int:
+    """Panel count of the first level whose comparison with the next can pass.
+
+    Doubles the start rule's count while two levels stay under the node cap
+    and an a-priori estimate of the level's error exceeds the comparison's
+    threshold max(rel_tol |c|, abs_tol) of :func:`_refine`.  First-order
+    terms are Gauss quadratures of A; higher orders also integrate A through
+    the stage values h S A Y, off on the fastest phase by the stage defect
+    D(x), x = phase / panels.  Gauss collocation's endpoint error pairs the
+    defects of the solution and its adjoint, so the coefficient that takes
+    that phase through a nested integral is off by about ``_DEFECT_GAIN`` D^2
+    of itself: the top one, of weak-field size area^N / N!, on N >= 2 rungs,
+    and on one rung the ground state's change area^2 / 2, beside |c_0| ~ 1.
+    ``area`` is one coupling's largest resonant pulse area,
+    max mu * max A * int s.  At the start rule's x <= 4 pi the top
+    coefficient's error was 0.11 to 0.19 D^2 on acceptance test 6 and on the
+    resonant Gaussian ladders 60/114 and 90/171/243, so 0.05 errs low.  An
+    estimate that errs high only starts one level finer: the result still
+    comes from two levels that agree.
+    """
+    panels = max(1, math.ceil(min(nodes, _MAX_NODES) / _PANEL_NODES))
+    order = max(rungs, 2)
+    # a product, not a power, so that a huge area gives inf instead of raising
+    change = math.prod(area / k for k in range(1, order + 1))
+    size = change if rungs > 1 else 1.0
+    threshold = max(spec.rel_tol * size, spec.abs_tol)
+    while (4 * _PANEL_NODES * panels <= _MAX_NODES
+           and _DEFECT_GAIN * _stage_defect(phase / panels) ** 2 * change > threshold):
+        panels *= 2
+    return panels
+
+
 def _panel_propagators(low, half: float, passes: int) -> np.ndarray:
     """The propagator of each panel, shape (L, L, panels).
 
@@ -170,9 +221,11 @@ def propagate(
     window overlaps ``field.envelope.support()``: the field vanishes outside,
     so the state does not move there.  The overlap is cut into equal panels,
     at first enough for 4 nodes per period of the fastest phase of A and for
-    h ||S|| max||A|| <= 1/2, so that the Picard iteration contracts; each
-    level's pass count is the fewest whose bound on the powers of |S| (see
-    :func:`_picard_passes`) is below ``_PICARD_EPS``, at most 19.  The
+    h ||S|| max||A|| <= 1/2, so that the Picard iteration contracts, then
+    doubled while an a-priori error estimate says that level cannot agree
+    with the next (:func:`_start_panels`).  Each level's pass count is the
+    fewest whose bound on the powers of |S| (see :func:`_picard_passes`) is
+    below ``_PICARD_EPS``, at most 19.  The
     panel count doubles, up to 2^23 + 1 nodes, until two successive states
     agree in every coefficient to ``rel_tol`` (relative, with the absolute
     floor ``abs_tol``).  Running out of panel counts raises
@@ -193,11 +246,14 @@ def propagate(
     wbar = np.array(transition_frequencies(system))[:, None, None]
     mus = np.array(system.dipoles)[:, None, None]
     fastest = wbar.max() + max(c.frequency for c in field.components)
+    mu = float(np.abs(mus).max())
     # h * rate bounds the Picard contraction h ||S||_inf max_t ||A(t)||_inf:
     # |E| <= 2 sum_l A_l, and a row of A holds two couplings
-    rate = (_power_norms()[0] * 4.0
-            * sum(c.amplitude for c in field.components) * float(np.abs(mus).max()))
+    rate = _power_norms()[0] * 4.0 * sum(c.amplitude for c in field.components) * mu
     nodes = (t1 - t0) * max(4.0 * fastest / (2.0 * math.pi), _PANEL_NODES * rate)
+    area = (mu * max(c.amplitude for c in field.components)
+            * min(field.envelope.effective_duration, t1 - t0))
+    panels = _start_panels(nodes, fastest * (t1 - t0) / 2.0, len(mus), area, spec)
 
     def evaluate(panels: int) -> tuple[complex, ...]:
         half = (t1 - t0) / (2 * panels)
@@ -212,6 +268,6 @@ def propagate(
                 state = u @ state
         return tuple(state.tolist())
 
-    coeffs = _refine(_panel_levels(nodes), evaluate, spec.rel_tol, spec.abs_tol,
+    coeffs = _refine(_panel_levels(_PANEL_NODES * panels), evaluate, spec.rel_tol, spec.abs_tol,
                      "collocation propagator")
     return StateCoefficients(coeffs, spec.t_end)

@@ -35,8 +35,9 @@ from laddernoise.perturbation import (
     _delay_frequencies,
     _delay_grid,
     _separable_delay_integral,
+    _truncation_radius,
 )
-from laddernoise.quadrature import _PANEL_NODES, _panel_rule
+from laddernoise.quadrature import _PANEL_NODES, _gauss_legendre, _panel_rule
 
 # Carriers far above the envelope bandwidth keep each component associated
 # with its own transition; the closed forms assume exactly that.
@@ -129,6 +130,36 @@ class TestTimeQuadrature:
         quad = amplitude_time_quadrature(system, f).scaled
         closed = scaled_amplitude_gaussian(Detunings(deltas), env)
         assert quad == pytest.approx(closed, rel=1e-6)
+
+
+class TestGaussLegendre:
+    """The one Gauss-Legendre generator, Newton on the three-term recurrence."""
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_exact_on_polynomials_up_to_degree_2n_minus_1(self, n):
+        x, w = _gauss_legendre(n)
+        for degree in range(2 * n):
+            exact = (1.0 - (-1.0) ** (degree + 1)) / (degree + 1)
+            assert abs(w @ x**degree - exact) <= 1e-14, degree
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 64, 127, 128])
+    def test_nodes_match_leggauss(self, n):
+        x, w = _gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - ref_x)) <= 1e-15
+        # leggauss's own weights drift by about 1e-11 relative at 128 nodes
+        assert np.max(np.abs(w / ref_w - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2048, 4096])
+    def test_oscillatory_integral_at_large_node_counts(self, n):
+        # leggauss is off by 1.5e-13 and 2.6e-13 here
+        x, w = _gauss_legendre(n)
+        assert abs(w @ np.cos(5.0 * x) - 2.0 * math.sin(5.0) / 5.0) <= 1e-14
+
+    def test_panel_rule_uses_it(self):
+        x, w, _ = _panel_rule()
+        gx, gw = _gauss_legendre(_PANEL_NODES)
+        assert np.array_equal(x, gx) and np.array_equal(w, gw)
 
 
 class TestPanelRule:
@@ -427,6 +458,13 @@ class TestGaussianKernel:
     def test_damping_form_positive_definite(self, n):
         eigs = np.linalg.eigvalsh(_damping_matrix(n))
         assert np.all(eigs > 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_truncation_radius_uses_the_smallest_eigenvalue(self, n):
+        # the radius takes lambda_min = n / (4 cos^2(pi / 2n)) in closed form
+        lam_min = float(np.linalg.eigvalsh(_damping_matrix(n))[0])
+        closed = 4.0 * n * math.log(1e18) / _truncation_radius(n) ** 2
+        assert closed == pytest.approx(lam_min, rel=1e-14)
 
 
 class TestAsymptote:

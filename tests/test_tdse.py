@@ -27,6 +27,7 @@ from laddernoise import (
 
 TWO_LEVEL = LadderSystem((0.0, 30.0), (1.0,))
 ACCEPTANCE_6 = LadderSystem((0.0, 25.0, 59.0), (1.0, 1.0))
+GAUSSIAN_2 = LadderSystem((0.0, 60.0, 174.0), (1.0, 1.0))
 GAUSSIAN_3 = LadderSystem((0.0, 90.0, 261.0, 504.0), (1.0, 1.0, 1.0))
 
 
@@ -256,8 +257,13 @@ class TestFailureMode:
         assert abs(state.coeffs[0] - 1.0) <= 1e-15
 
 
-def kernel_calls(system, field, spec=None):
-    """The (low, half, passes) of every panel kernel call of one propagation."""
+def kernel_calls(system, field, spec=None, full_ladder=False):
+    """The (low, half, passes) of every panel kernel call of one propagation,
+    and its coefficients.
+
+    ``full_ladder`` starts at the start rule's panel count, with no level
+    skipped by the a-priori error estimate.
+    """
     calls = []
     real = tdse_module._panel_propagators
 
@@ -267,8 +273,10 @@ def kernel_calls(system, field, spec=None):
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(tdse_module, "_panel_propagators", spy)
-        propagate(system, field, spec)
-    return calls
+        if full_ladder:
+            monkeypatch.setattr(tdse_module, "_DEFECT_GAIN", 0.0)
+        coeffs = propagate(system, field, spec).coeffs
+    return calls, coeffs
 
 
 def dense_propagators(low, half):
@@ -323,13 +331,17 @@ def relative_gap(a, b):
 class TestPicardKernel:
     @pytest.fixture(scope="class")
     def calls(self):
-        # the three levels of acceptance test 6 and the start level of the
+        # the two levels of acceptance test 6, the 9-panel level its start rule
+        # proposes and the a-priori estimate skips, and the start level of the
         # three-rung Gaussian, as propagate builds them
         rect = resonant_field(ACCEPTANCE_6, 0.05, RectangularEnvelope(3.0))
         gauss = resonant_field(GAUSSIAN_3, 0.04, GaussianEnvelope(1.0))
-        acceptance = kernel_calls(ACCEPTANCE_6, rect, PropagationSpec(0.0, 3.0, 1e-10, 1e-13))
-        assert [low.shape[-1] for low, _, _ in acceptance] == [9, 18, 36]
-        return acceptance + kernel_calls(GAUSSIAN_3, gauss)[:1]
+        spec = PropagationSpec(0.0, 3.0, 1e-10, 1e-13)
+        acceptance, _ = kernel_calls(ACCEPTANCE_6, rect, spec)
+        assert [low.shape[-1] for low, _, _ in acceptance] == [18, 36]
+        skipped = kernel_calls(ACCEPTANCE_6, rect, spec, full_ladder=True)[0][:1]
+        assert skipped[0][0].shape[-1] == 9
+        return acceptance + skipped + kernel_calls(GAUSSIAN_3, gauss)[0][:1]
 
     def test_matches_dense_collocation_solve(self, calls):
         for low, half, passes in calls:
@@ -360,3 +372,49 @@ class TestPicardKernel:
         for q in np.geomspace(1e-18, 0.5, 400):
             geometric = math.ceil(math.log(eps) / math.log(q)) - 1
             assert tdse_module._picard_passes(q) <= geometric
+
+
+# (system, amplitude, envelope) of resonant fields; the first three are
+# phase-limited (the start rule's panel count comes from 4 nodes per period of
+# the fastest phase), the last two contraction-limited
+START_SYSTEMS = {
+    "acceptance-6": (ACCEPTANCE_6, 0.05, RectangularEnvelope(3.0)),
+    "gauss-60-114": (GAUSSIAN_2, 0.05, GaussianEnvelope(1.0)),
+    "gauss-90-171-243": (GAUSSIAN_3, 0.04, GaussianEnvelope(1.0)),
+    "rect-strong": (ACCEPTANCE_6, 0.5, RectangularEnvelope(3.0)),
+    "two-level": (LadderSystem((0.0, 5.0), (1.0,)), 0.3, RectangularEnvelope(3.0)),
+}
+
+
+def levels_and_coeffs(name, spec_tols=None, full_ladder=False):
+    system, amplitude, envelope = START_SYSTEMS[name]
+    f = resonant_field(system, amplitude, envelope)
+    spec = default_propagation_spec(f, *(spec_tols or ()))
+    calls, coeffs = kernel_calls(system, f, spec, full_ladder)
+    # every level here fits in one block, so one kernel call per level
+    return len(calls), coeffs
+
+
+class TestStartLevel:
+    """The a-priori error estimate only skips levels whose comparison fails."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("name", START_SYSTEMS)
+    def test_accepted_level_is_unchanged(self, name, rel_tol):
+        tols = (rel_tol, rel_tol / 100)
+        levels, coeffs = levels_and_coeffs(name, tols)
+        full_levels, full_coeffs = levels_and_coeffs(name, tols, full_ladder=True)
+        assert coeffs == full_coeffs
+        assert levels <= full_levels
+
+    @pytest.mark.parametrize("name", ["acceptance-6", "gauss-60-114", "gauss-90-171-243"])
+    def test_default_tolerances_skip_one_level_when_phase_limited(self, name):
+        levels, _ = levels_and_coeffs(name)
+        full_levels, _ = levels_and_coeffs(name, full_ladder=True)
+        assert levels == full_levels - 1
+
+    def test_estimate_keeps_two_levels_under_the_node_cap(self):
+        # a start whose doubling would leave a single level under the cap is kept
+        cap = quadrature_module._MAX_NODES // quadrature_module._PANEL_NODES
+        spec = PropagationSpec(0.0, 1.0, 1e-12, 1e-14)
+        assert tdse_module._start_panels(16.0 * cap / 2, 1e9, 2, 1.0, spec) == cap // 2

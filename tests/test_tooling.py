@@ -1,7 +1,7 @@
 """The benchmark tracer wraps every binding it names and counts what the
 benchmark expects; the panel integrators hold one block at a time; the
-propagator's Picard pass count and its lazy tables stay where they are; the
-README's code runs."""
+propagator's Picard pass count and its lazy tables stay where they are; runs
+need neither numpy's polynomial package nor LAPACK; the README's code runs."""
 
 import importlib
 import importlib.util
@@ -143,7 +143,9 @@ def test_panel_integrators_hold_one_block_at_a_time(monkeypatch):
 
 def test_acceptance_6_propagation_pass_count(monkeypatch):
     # the pass count comes from the bound on the powers of |S|; a looser
-    # bound (the geometric one spent 41 passes here) shows as more passes
+    # bound (the geometric one spent 41 passes here) shows as more passes.
+    # The a-priori error estimate skips the 9-panel level (11 passes) that
+    # cannot agree with the next one at these tolerances
     system = LadderSystem((0.0, 25.0, 59.0), (1.0, 1.0))
     field = ControlField(
         tuple(PulseComponent(0.05, 0.0, w) for w in (25.0, 34.0)), RectangularEnvelope(3.0)
@@ -157,7 +159,7 @@ def test_acceptance_6_propagation_pass_count(monkeypatch):
 
     monkeypatch.setattr(tdse_module, "_panel_propagators", spy)
     propagate(system, field, PropagationSpec(0.0, 3.0, 1e-10, 1e-13))
-    assert len(passes) == 3 and sum(passes) <= 28
+    assert len(passes) == 2 and sum(passes) <= 17
 
 
 def test_cli_import_builds_no_panel_tables():
@@ -172,6 +174,46 @@ def test_cli_import_builds_no_panel_tables():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0"]
+
+
+# run in a fresh interpreter: every public function of numpy.linalg raises,
+# then each CLI command runs and the polynomial package must stay unloaded
+NO_LAPACK_RUN = """
+import sys
+import numpy.linalg
+
+def refuse(*args, **kwargs):
+    raise AssertionError("numpy.linalg was called")
+
+for name in numpy.linalg.__all__:
+    if not isinstance(getattr(numpy.linalg, name), type):
+        setattr(numpy.linalg, name, refuse)
+
+from laddernoise.cli import main
+
+for command, config, out in zip(*[iter(sys.argv[1:])] * 3):
+    assert main([command, "--config", config, "--out", out]) == 0, command
+print("numpy.polynomial" in sys.modules)
+"""
+
+
+def test_runs_load_no_polynomial_package_and_call_no_linalg(tmp_path):
+    # every Gauss-Legendre rule comes from quadrature._gauss_legendre and the
+    # truncation radius from its closed-form eigenvalue, so a TDSE ensemble, a
+    # Gaussian closed-form ensemble and a perturb-time scan need neither
+    workloads = load_perfbench("workloads")
+    args = []
+    for name in ("tdse_ensemble", "gauss_ensemble", "quad_scan"):
+        base = type(workloads.WORKLOADS[name])
+        workload = type(base.__name__, (base,), SMALL_WORKLOADS[name])()
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(workload.make_config(np.random.default_rng(1))))
+        args += [workload.command, str(config), str(tmp_path / f"{name}.csv")]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", NO_LAPACK_RUN, *args], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_readme_quick_start_runs():
