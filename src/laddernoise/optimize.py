@@ -144,13 +144,20 @@ def verify_optimality_condition(amplitudes, variances) -> float:
 # ---------------------------------------------------------------------------
 
 _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
+# (x_tol, f_tol) stop pairs.  A coarse search stops well inside the polish's
+# first simplex, whose step 0.01 max(u, 0.1) is at least 1e-3.
+_COARSE_STOP = (1e-4, 1e-8)
+_POLISH_STOP = (1e-8, 1e-10)
 
 
-def _nelder_mead(f, x0: np.ndarray, step, max_evals: int):
+def _nelder_mead(f, x0: np.ndarray, step, max_evals: int, x_tol: float, f_tol: float):
     """Nelder-Mead clamped at zero; returns (x, fx, evals, converged).
 
     ``step`` gives the absolute initial simplex offset per coordinate
-    (scalar or array); trial points are clamped at zero before ``f`` sees them.
+    (scalar or array); trial points are clamped at zero before ``f`` sees them,
+    and so is the returned best vertex ``x``.
+    The search stops, converged, once every vertex lies within ``x_tol`` of
+    the best in each coordinate and the values span less than ``f_tol``.
     ``f`` runs at most ``max_evals`` times, which must cover the dim + 1
     points of the first simplex.
     """
@@ -177,10 +184,10 @@ def _nelder_mead(f, x0: np.ndarray, step, max_evals: int):
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         diam = max(float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:])
-        if diam < 1e-8 and values[-1] - values[0] < 1e-10:
-            return simplex[0], values[0], evals, True
+        if diam < x_tol and values[-1] - values[0] < f_tol:
+            return np.maximum(simplex[0], 0.0), values[0], evals, True
         if evals == max_evals:
-            return simplex[0], values[0], evals, False
+            return np.maximum(simplex[0], 0.0), values[0], evals, False
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
         reflected = centroid + _REFLECT * (centroid - worst)
@@ -216,14 +223,16 @@ def optimize_amplitudes(
 ) -> OptimizationResult:
     """Minimize the fluence-penalized objective over nominal amplitudes.
 
-    Runs the projected simplex search from the initial amplitudes and from
-    scaled copies of them, keeping the best point; exact objective ties are
-    broken toward the lexicographically smallest amplitude vector so
-    symmetric problems return a reproducible answer.  Every objective
-    evaluation counts against one budget of ``max_evals``, which must cover
-    one simplex (M + 1 points); the search converged only if no stage ran
-    out of it.  Each evaluation appends its (amplitudes, J) pair to ``trace``
-    when one is given, the first at ``init``.
+    Runs a coarse projected simplex search from the initial amplitudes and
+    from two scaled copies of them, then polishes the best of the three to a
+    tight stop; objective ties within 1e-14 are broken toward the
+    lexicographically smallest amplitude vector so symmetric problems return
+    a reproducible answer.  Every objective evaluation of the four searches
+    counts against one budget of ``max_evals``, which must cover one simplex
+    (M + 1 points); a search that finds less than a simplex left is skipped,
+    and the run converged only if every search reached its stop.  Each
+    evaluation appends its (amplitudes, J) pair to ``trace`` when one is
+    given, the first at ``init``.
     """
     dim = len(init)
     if max_evals < dim + 1:
@@ -241,26 +250,33 @@ def optimize_amplitudes(
     u_init = np.square(np.asarray(init, dtype=float))
     remaining = max_evals
     converged = True
+
+    def search(u0, scale, stop):
+        """One simplex search from u0, or None (not converged) if no simplex fits."""
+        nonlocal remaining, converged
+        if remaining < dim + 1:
+            converged = False
+            return None
+        step = scale * np.maximum(u0, 0.1)
+        u, fu, used, ok = _nelder_mead(f_u, u0, step, remaining, *stop)
+        remaining -= used
+        converged = converged and ok
+        return tuple(float(a) for a in np.sqrt(u)), fu, u
+
+    # coarse searches from init and two scaled copies, then a polish of the
+    # best: a polish moves its point by about 1%, so it cannot change basin
     best = None
     for u0 in (u_init, 0.25 * u_init, 2.25 * u_init):
-        x, fx = u0, None
-        # a coarse search, then a tighter polish around its point (never worsens)
-        for scale in (0.25, 0.01):
-            if remaining < dim + 1:
-                converged = False
-                break
-            step = scale * np.maximum(np.abs(x), 0.1)
-            x, fx, used, ok = _nelder_mead(f_u, x, step, remaining)
-            remaining -= used
-            converged = converged and ok
-        if fx is None:
+        found = search(u0, 0.25, _COARSE_STOP)
+        if found is None:
             break
-        amps = tuple(float(a) for a in np.sqrt(np.maximum(x, 0.0)))
-        if best is None or fx < best[1] - 1e-14 or (
-            abs(fx - best[1]) <= 1e-14 and amps < best[0]
+        amps, fu, _ = found
+        if best is None or fu < best[1] - 1e-14 or (
+            abs(fu - best[1]) <= 1e-14 and amps < best[0]
         ):
-            best = (amps, fx)
-    amps, fx = best
+            best = found
+    best = search(best[2], 0.01, _POLISH_STOP) or best  # never worsens: starts at best
+    amps, fx, _ = best
     residual = verify_optimality_condition(amps, noise.amplitude_variances())
     return OptimizationResult(
         amplitudes=amps,

@@ -370,3 +370,99 @@ class TestEvaluationBudget:
     def test_cap_below_one_simplex_is_refused(self, cap):
         with pytest.raises(ValueError, match="M \\+ 1 = 3"):
             self.run(cap)
+
+
+class TestNelderMead:
+    """The projected simplex search on its own."""
+
+    @staticmethod
+    def bowl(center):
+        center = np.asarray(center)
+        weights = np.array([1.0, 2.0])
+
+        def f(x):
+            return float(np.sum(weights * (x - center) ** 2))
+
+        return f
+
+    @pytest.mark.parametrize("stop", [(1e-4, 1e-8), (1e-6, 1e-9), (1e-8, 1e-10)])
+    def test_converges_to_the_stop_it_is_given(self, stop):
+        center = (0.3, 0.7)
+        x, fx, _, ok = optimize_module._nelder_mead(
+            self.bowl(center), np.array([1.0, 1.0]), 0.25, 10_000, *stop
+        )
+        assert ok
+        x_tol, f_tol = stop
+        assert np.max(np.abs(x - center)) < x_tol
+        assert fx < f_tol
+
+    def test_negative_minimum_returns_zero_on_that_axis(self):
+        seen = []
+        bowl = self.bowl((-0.5, 0.4))
+
+        def f(x):
+            seen.append(x.copy())
+            return bowl(x)
+
+        x, _, _, ok = optimize_module._nelder_mead(
+            f, np.array([1.0, 1.0]), 0.25, 10_000, 1e-8, 1e-10
+        )
+        assert ok
+        assert x[0] == 0.0
+        assert x[1] == pytest.approx(0.4, abs=1e-8)
+        assert min(float(np.min(v)) for v in seen) >= 0.0
+
+    @pytest.mark.parametrize("cap", [3, 4, 7, 20])
+    def test_budget_caps_the_calls(self, cap):
+        calls = []
+        bowl = self.bowl((0.3, 0.7))
+
+        def f(x):
+            calls.append(x)
+            return bowl(x)
+
+        _, _, evals, ok = optimize_module._nelder_mead(
+            f, np.array([1.0, 1.0]), 0.25, cap, 1e-8, 1e-10
+        )
+        assert len(calls) == evals <= cap
+        assert not ok
+
+
+class TestSearchStages:
+    """Three coarse searches and one polish on the noise-cooperation example."""
+
+    def test_example_runs_four_searches_to_the_analytic_optimum(self, monkeypatch):
+        config = load_config(EXAMPLE)
+        assert config.run.objective.observable is ObservableModel.ANALYTIC
+        stops = []
+        real = optimize_module._nelder_mead
+        monkeypatch.setattr(
+            optimize_module,
+            "_nelder_mead",
+            lambda *a: stops.append(a[4:]) or real(*a),
+        )
+        result = optimize_amplitudes(
+            config.run.objective, config.system, config.field, config.noise, config.run.init
+        )
+        assert stops == [(1e-4, 1e-8)] * 3 + [(1e-8, 1e-10)]
+        assert result.converged
+        assert result.iterations < 400
+
+        # at the weak-field optimum A_l^2 + v_l = s, where s solves
+        # (c^2 s^N - Y) 2 c^2 s^(N-1) + alpha = 0
+        objective = config.run.objective
+        c2 = coupling_magnitude(config.system, config.field) ** 2
+        variances = config.noise.amplitude_variances()
+        n, y, alpha = len(variances), objective.target_yield, objective.fluence_weight
+
+        def slope(s):
+            return (c2 * s**n - y) * 2.0 * c2 * s ** (n - 1) + alpha
+
+        lo, hi = max(variances), (y / c2) ** (1.0 / n)
+        assert slope(lo) < 0.0 < slope(hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+        s = 0.5 * (lo + hi)
+        expected = [math.sqrt(s - v) for v in variances]
+        assert result.amplitudes == pytest.approx(expected, abs=1e-6)
