@@ -350,12 +350,18 @@ def _build_run(raw, system, fld, noise, evaluator, tolerances, problems) -> RunS
             return RunSpec(rtype, seed)
         points = []
         wbar = transition_frequencies(system)
+        top = max(wbar)
         for value in grid:
             found: list[str] = []
             if param == COMMON_DETUNING_PARAMETER:
+                # the value rounded to the float spacing at the largest gap, from
+                # which it comes back exactly (Sterbenz); it does from a smaller
+                # gap too unless the sum crosses a power of two, so the legs
+                # share one detuning to the last bit
+                shift = (top + value) - top
                 point = (
                     system,
-                    _guard(found, "field", fld.with_frequencies, [w + value for w in wbar]),
+                    _guard(found, "field", fld.with_frequencies, [w + shift for w in wbar]),
                 )
             else:
                 # the parameter path lies in these two sections, so only they are copied

@@ -32,7 +32,7 @@ from .perturbation import (
     closed_form_amplitude,
     transition_yield,
 )
-from .quadrature import _refine
+from .quadrature import _each_level, _refine
 from .tdse import default_propagation_spec, population, propagate
 
 
@@ -425,7 +425,8 @@ def frequency_noise_average(
             "Monte Carlo ensemble for larger ladders"
         )
     kernel = FreqNoiseKernel(d, tuple(delta_bar), envelope.sigma)
-    value = _refine(_PAIR_NODE_LADDERS[n], lambda nodes: _pair_sum(kernel, n, nodes),
+    value = _refine(_PAIR_NODE_LADDERS[n],
+                    _each_level(lambda nodes: _pair_sum(kernel, n, nodes)),
                     tol, tol * 1e-300, "delay-pair quadrature")
     scale = envelope.tau ** (2 * n) / ((4.0 * math.pi) ** (n - 1) * n)
     return scale * value

@@ -44,7 +44,8 @@ from .model import (
     detunings_for,
 )
 from .quadrature import (
-    _gauss_legendre, _panel_blocks, _panel_levels, _panel_rule, _panel_times, _refine,
+    _each_level, _gauss_legendre, _panel_batches, _panel_levels, _panel_rule, _panel_times,
+    _refine,
 )
 
 # Oscillation bound for the Gaussian closed form: beyond |D_k|/(N sigma) of
@@ -110,70 +111,93 @@ def transition_yield(
 # ---------------------------------------------------------------------------
 
 
-# the block cache keeps this many blocks:
-# 4 x (two float arrays of 16 x 4,096 nodes) = 4 MiB
-_CACHED_BLOCKS = 4
+# the batch cache keeps this many batches: 3 x (two float arrays of
+# 16 x 4,096 nodes and 4,096 complex half-widths) = 3.2 MiB
+_CACHED_BATCHES = 3
 
 
-@lru_cache(maxsize=_CACHED_BLOCKS)
-def _panel_block(env, panels: int, first: int, stop: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Half-width, node times and envelope samples of panels ``first`` to ``stop - 1``.
+@lru_cache(maxsize=_CACHED_BATCHES)
+def _panel_batch(env, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-widths, node times and envelope samples of the panels of ``batch``.
 
-    ``env``'s support is cut into ``panels`` panels.  The (node, panel) arrays
-    ``t`` and ``s = env.value(t)`` are read-only, because the cache hands the
-    same ones to every caller.
+    ``batch`` holds blocks ``(i, panels, first, stop)`` of
+    :func:`laddernoise.quadrature._panel_batches`: panels ``first`` to
+    ``stop - 1`` of ``env``'s support cut into ``panels``, side by side.  The
+    half-width of each panel, complex so that the complex products with it
+    need no cast, and the (node, panel) arrays ``t`` and ``s = env.value(t)``
+    are read-only, because the cache hands the same ones to every caller.
     """
     t0, t1 = env.support()
-    half = (t1 - t0) / (2 * panels)
-    t = _panel_times(t0, half, first, stop)
+    halves = [(t1 - t0) / (2 * panels) for _, panels, _, _ in batch]
+    half = np.repeat(np.array(halves, complex), [stop - first for _, _, first, stop in batch])
+    t = np.hstack([_panel_times(t0, h, first, stop)
+                   for h, (_, _, first, stop) in zip(halves, batch)])
     s = env.value(t)
-    t.setflags(write=False)
-    s.setflags(write=False)
+    for a in (half, t, s):
+        a.setflags(write=False)
     return half, t, s
 
 
-def _panel_integral(env, deltas, panels: int) -> complex:
-    """Nested integral of prod_k s(t_k) exp(-i delta_k t_k) on equal panels.
+def _panel_integral(env, deltas, counts) -> tuple[complex, ...]:
+    """Nested integral of prod_k s(t_k) exp(-i delta_k t_k) on equal panels, per count.
 
+    ``counts`` are panel counts; the value for each comes back in order.
     Each leg's running antiderivative is, inside a panel, the integration
     matrix applied to the integrand; the carry, the running sum of the
     earlier panels' totals, joins the panels.  Samples are laid out (node,
     panel), so viewed as (re, im) pairs each panel is two real columns and
     the real matrix and weights act by real matmuls.
 
-    The panels are swept in the blocks of :mod:`laddernoise.quadrature`, so
-    memory is bounded at any panel count, and each leg's carry runs on from
-    one block into the next.  The last ``_CACHED_BLOCKS`` blocks stay cached
-    (4 MiB at most), so a scan refines on the same two or three grids at every
-    point.  ``s exp(-i d t)`` is formed once per distinct detuning and block,
-    the first leg is not multiplied by its unit antiderivative, and the last
-    leg forms no antiderivative, only its panel totals.  None of the three
-    changes a bit of the value.
+    All counts are swept together, in the batches of
+    :mod:`laddernoise.quadrature`: each count's blocks laid end to end, as
+    many to a batch as ``_BLOCK_PANELS`` allows, so memory is bounded at any
+    panel count and the first two counts of a refinement share one batch.  In
+    a batch the matrix and the weights act by one matmul each, with a
+    half-width per panel, and ``s exp(-i d t)`` is formed once per distinct
+    detuning.  Each count's carry is a cumulative sum over its own panels
+    that runs on from one of its blocks into the next.  The last
+    ``_CACHED_BATCHES`` batches stay cached, so a scan refines on the same
+    one or two batches at every point.  The first leg is not multiplied by
+    its unit antiderivative, and the last leg forms no antiderivative, only
+    its panel totals.  None of this changes a bit of a count swept alone; a
+    count swept beside another can differ in round-off, as the column count of
+    a batch picks the BLAS kernel.
     """
     _, w, matrix = _panel_rule()
-    # each leg's antiderivative at the end of the blocks swept so far
-    ends = [0j] * len(deltas)
-    for first, stop in _panel_blocks(panels):
-        half, t, s = _panel_block(env, panels, first, stop)
+    # each count's legs' antiderivatives at the end of its blocks swept so far
+    ends = [[0j] * len(deltas) for _ in counts]
+
+    def carry(totals, batch, k):
+        """Leg ``k``'s carry in each count's panels; moves that leg's end on."""
+        out = np.empty_like(totals)
+        lo = 0
+        for i, _, first, stop in batch:
+            hi = lo + stop - first
+            part = totals[lo:hi]
+            run = np.add.accumulate(part, out=out[lo:hi])
+            run -= part
+            if first:
+                run += ends[i][k]
+            # the carry plus the last total, rounded as the carry is everywhere
+            # else; the bare cumulative sum can differ in the last bit
+            ends[i][k] = run[-1] + part[-1]
+            lo = hi
+        return out
+
+    for batch in _panel_batches(counts):
+        half, t, s = _panel_batch(env, batch)
         integrands = {}
         for k, d in enumerate(deltas):
             f = integrands.get(d)
             if f is None:
                 f = integrands[d] = s * np.exp(-1j * d * t)
             if k:
-                # times the previous leg's antiderivative, its carry joining the panels
-                carry = totals.cumsum() - totals
-                if first:
-                    carry += ends[k - 1]
-                if stop < panels:
-                    ends[k - 1] = carry[-1] + totals[-1]
-                f = f * ((matrix @ g).view(np.complex128) * half + carry)
+                # times the previous leg's antiderivative
+                f = f * ((matrix @ g).view(np.complex128) * half + carry(totals, batch, k - 1))
             g = f.view(np.float64)
             totals = (w @ g).view(np.complex128) * half
-        # the last leg's carry plus its last total, rounded as the carry is
-        # everywhere else; the bare cumulative sum can differ in the last bit
-        ends[-1] = (ends[-1] + (totals.cumsum()[-1] - totals[-1])) + totals[-1]
-    return complex(ends[-1])
+        carry(totals, batch, -1)
+    return tuple(complex(e[-1]) for e in ends)
 
 
 def amplitude_time_quadrature(
@@ -194,9 +218,11 @@ def amplitude_time_quadrature(
     starting panel count gives 20 nodes per period of the fastest detuning
     and 12 per envelope feature; it doubles, up to 2^23 + 1 nodes, until two
     successive values agree to ``tol`` (relative, with an absolute floor of
-    ``tol * 1e-4`` times the resonant magnitude).  Running out of grids raises
-    :class:`QuadratureConvergenceError`; a start that leaves fewer than two
-    grids under the cap raises before any is built.
+    ``tol * 1e-4`` times the resonant magnitude).  The first two counts are
+    swept together, in one batch while they fit in one, since the first
+    comparison needs both; each later count is swept alone.  Running out of
+    grids raises :class:`QuadratureConvergenceError`; a start that leaves
+    fewer than two grids under the cap raises before any is built.
 
     Requires one component per transition.
     """
@@ -208,7 +234,7 @@ def amplitude_time_quadrature(
     nodes = (t1 - t0) * max(20.0 * fastest / (2 * math.pi), 12.0 / env.effective_duration)
     floor = tol * 1e-4 * env.effective_duration**n / math.factorial(n)
     value = _refine(_panel_levels(nodes),
-                    lambda p: _panel_integral(env, detunings.deltas, p),
+                    lambda counts: _panel_integral(env, detunings.deltas, counts),
                     tol, floor, "time-ordered quadrature")
     return TransitionAmplitude.from_scaled(
         (1j) ** n * value, system, field, AmplitudeMethod.TIME_QUADRATURE
@@ -336,8 +362,11 @@ def scaled_amplitude_gaussian(
     sigma = envelope.sigma
     tau = envelope.tau
     freq = tuple(f / (n * sigma) for f in frequencies)
-    integral = _refine(_NODE_LADDERS[n],
-                       lambda nodes: _separable_delay_integral(*_delay_grid(n, nodes), freq),
+
+    def integral_at(nodes: int) -> complex:
+        return _separable_delay_integral(*_delay_grid(n, nodes), freq)
+
+    integral = _refine(_NODE_LADDERS[n], _each_level(integral_at),
                        tol, tol * 1e-12, "delay-integral quadrature")
     prefactor = (
         (1j) ** n

@@ -6,6 +6,9 @@ the propagator borrows a numerical rule, not an approximation it checks.
 Every Gauss-Legendre rule in the package comes from :func:`_gauss_legendre`.
 It owns the block size: both panel integrators sweep their panels in the
 same blocks, so one number bounds the memory of either at any panel count.
+The time-ordered quadrature packs the blocks of several panel counts into
+batches of at most that size (:func:`_panel_batches`), so small counts are
+swept together.
 """
 
 from __future__ import annotations
@@ -100,26 +103,54 @@ def _panel_blocks(panels: int) -> list[tuple[int, int]]:
             for first in range(0, panels, _BLOCK_PANELS)]
 
 
+def _panel_batches(counts) -> list[tuple[tuple[int, int, int, int], ...]]:
+    """The blocks of every count in ``counts``, laid end to end and packed into batches.
+
+    A block is ``(i, counts[i], first, stop)``.  Consecutive blocks share a
+    batch while it holds at most ``_BLOCK_PANELS`` panels, so counts that fit
+    together are swept together and larger ones a block at a time.
+    """
+    batches, batch, size = [], [], 0
+    for i, panels in enumerate(counts):
+        for first, stop in _panel_blocks(panels):
+            if size + stop - first > _BLOCK_PANELS:
+                batches.append(tuple(batch))
+                batch, size = [], 0
+            batch.append((i, panels, first, stop))
+            size += stop - first
+    batches.append(tuple(batch))
+    return batches
+
+
 def _panel_times(t0: float, half: float, first: int, stop: int) -> np.ndarray:
     """(node, panel) times of panels ``first`` to ``stop - 1``, ``2 half`` wide, from ``t0``."""
     mid = t0 + half * (2 * np.arange(first, stop) + 1)
     return half * _panel_rule()[0][:, None] + mid
 
 
-def _refine(levels, evaluate, tol: float, floor: float, what: str):
-    """``evaluate`` at the first of ``levels`` whose value agrees with the one before.
+def _each_level(evaluate):
+    """An ``evaluate`` for :func:`_refine` from one that takes a single level."""
+    return lambda levels: tuple(map(evaluate, levels))
 
-    A value is a number or a tuple of numbers.  Two successive values agree
-    when every entry satisfies ``|cur - prev| <= max(tol * |cur|, floor)``.
-    A last level that still disagrees raises :class:`QuadratureConvergenceError`
-    with the largest last difference as the achieved error; fewer than two
-    levels raise it before anything is evaluated.
+
+def _refine(levels, evaluate, tol: float, floor: float, what: str):
+    """The value at the first of ``levels`` that agrees with the one before.
+
+    ``evaluate`` takes a tuple of levels and returns their values in order.
+    Every refinement needs the first two values before its first comparison,
+    so it is asked for ``levels[:2]`` in one call, and for one level at a time
+    after that.  A value is a number or a tuple of numbers.  Two successive
+    values agree when every entry satisfies
+    ``|cur - prev| <= max(tol * |cur|, floor)``.  A last level that still
+    disagrees raises :class:`QuadratureConvergenceError` with the largest last
+    difference as the achieved error; fewer than two levels raise it before
+    anything is evaluated.
     """
     err = math.inf
     if len(levels) >= 2:
-        prev = evaluate(levels[0])
-        for level in levels[1:]:
-            cur = evaluate(level)
+        prev, cur = evaluate(tuple(levels[:2]))
+        later = iter(levels[2:])
+        while True:
             # numbers stay on plain float arithmetic: the scalar callers
             # compare thousands of times per run
             if isinstance(cur, tuple):
@@ -130,5 +161,8 @@ def _refine(levels, evaluate, tol: float, floor: float, what: str):
                 err = abs(cur - prev)
                 if err <= max(tol * abs(cur), floor):
                     return cur
-            prev = cur
+            level = next(later, None)
+            if level is None:
+                break
+            prev, (cur,) = cur, evaluate((level,))
     raise QuadratureConvergenceError(f"{what} did not converge", achieved=err)

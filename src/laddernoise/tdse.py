@@ -31,8 +31,8 @@ import numpy as np
 
 from .model import ControlField, LadderSystem, transition_frequencies
 from .quadrature import (
-    _MAX_NODES, _PANEL_NODES, _panel_blocks, _panel_levels, _panel_rule, _panel_times,
-    _refine,
+    _MAX_NODES, _PANEL_NODES, _each_level, _panel_blocks, _panel_levels, _panel_rule,
+    _panel_times, _refine,
 )
 
 # the Picard passes stop once their error bound, relative to the solution,
@@ -268,6 +268,6 @@ def propagate(
                 state = u @ state
         return tuple(state.tolist())
 
-    coeffs = _refine(_panel_levels(_PANEL_NODES * panels), evaluate, spec.rel_tol, spec.abs_tol,
-                     "collocation propagator")
+    coeffs = _refine(_panel_levels(_PANEL_NODES * panels), _each_level(evaluate),
+                     spec.rel_tol, spec.abs_tol, "collocation propagator")
     return StateCoefficients(coeffs, spec.t_end)

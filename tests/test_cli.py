@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import random
 import tempfile
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import laddernoise.cli as cli_module
 import laddernoise.noise as noise_module
 import laddernoise.perturbation as perturbation_module
-from laddernoise import ConfigError, Evaluator
+from laddernoise import ConfigError, Evaluator, detunings_for
 from laddernoise.cli import (
     COMMON_DETUNING_PARAMETER,
     config_digest,
@@ -329,6 +330,25 @@ class TestRunExperiment:
         assert len(at_2pi) == 1
         assert at_2pi[0]["yield"] < 1e-24
         assert rows[0]["yield"] == pytest.approx(0.25, rel=1e-9)
+
+    def test_common_detuning_is_one_float_on_every_leg(self, tmp_path):
+        # transition frequencies 60, 114 and 162, a grid as dense as a benchmark scan
+        rng = random.Random(1)
+        grid = [-3.5, 0.0, 3.5] + [rng.uniform(-3.5, 3.5) for _ in range(997)]
+        cfg_raw = minimal_config(
+            system={"energies": [0.0, 60.0, 174.0, 336.0], "dipoles": [1.0, 1.0, 1.0]},
+            field={
+                "envelope": {"kind": "gaussian", "tau": 1.0},
+                "components": [{"amplitude": 1.0, "phase": 0.0, "frequency": w}
+                               for w in (60.0, 114.0, 162.0)],
+            },
+            run={"type": "scan", "parameter": COMMON_DETUNING_PARAMETER, "grid": grid},
+        )
+        cfg = load_config(write_config(tmp_path, cfg_raw))
+        for _, system, fld in cfg.run.points:
+            assert len(set(detunings_for(system, fld).deltas)) == 1
+        # the value column echoes the grid, not the rounded detuning
+        assert [row[0] for row in run_experiment(cfg).rows] == grid
 
     def test_scan_plain_path(self, tmp_path):
         cfg_raw = minimal_config(

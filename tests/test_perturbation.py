@@ -225,46 +225,83 @@ PANEL_DELTAS = [
 ]
 
 
+ENVELOPES = [GaussianEnvelope(1.3), RectangularEnvelope(2.5)]
+
+
 class TestPanelIntegral:
     @pytest.mark.parametrize("panels", [1, 3, 12, 40])
     @pytest.mark.parametrize("deltas", PANEL_DELTAS, ids=str)
-    @pytest.mark.parametrize("env", [GaussianEnvelope(1.3), RectangularEnvelope(2.5)], ids=repr)
+    @pytest.mark.parametrize("env", ENVELOPES, ids=repr)
     def test_matches_reference_loop(self, monkeypatch, env, deltas, panels):
         expected = reference_panel_integral(env, deltas, panels)
         # the first call may build the grid, the second finds it cached
-        assert perturbation_module._panel_integral(env, deltas, panels) == expected
-        assert perturbation_module._panel_integral(env, deltas, panels) == expected
+        assert perturbation_module._panel_integral(env, deltas, (panels,)) == (expected,)
+        assert perturbation_module._panel_integral(env, deltas, (panels,)) == (expected,)
         # and a grid swept in blocks of two panels carries each leg across them
         monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", 2)
-        blocked = perturbation_module._panel_integral(env, deltas, panels)
+        (blocked,) = perturbation_module._panel_integral(env, deltas, (panels,))
         assert blocked == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("block", [None, 2, 8])
+    @pytest.mark.parametrize("panels", [1, 3, 12, 40])
+    @pytest.mark.parametrize("deltas", PANEL_DELTAS, ids=str)
+    @pytest.mark.parametrize("env", ENVELOPES, ids=repr)
+    def test_pair_matches_each_count_alone(self, monkeypatch, env, deltas, panels, block):
+        if block is not None:
+            monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", block)
+        alone = [perturbation_module._panel_integral(env, deltas, (p,))[0]
+                 for p in (panels, 2 * panels)]
+        # a batch's column count picks the BLAS kernel, so only round-off may differ
+        pair = perturbation_module._panel_integral(env, deltas, (panels, 2 * panels))
+        assert pair == pytest.approx(alone, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "counts,block,batches",
+        [
+            ((12, 24), 4096, [((0, 12, 0, 12), (1, 24, 0, 24))]),
+            ((3, 6), 4, [((0, 3, 0, 3),), ((1, 6, 0, 4),), ((1, 6, 4, 6),)]),
+            ((1, 2), 3, [((0, 1, 0, 1), (1, 2, 0, 2))]),
+            ((5,), 2, [((0, 5, 0, 2),), ((0, 5, 2, 4),), ((0, 5, 4, 5),)]),
+            ((3, 6), 5, [((0, 3, 0, 3),), ((1, 6, 0, 5),), ((1, 6, 5, 6),)]),
+            ((2, 4), 3, [((0, 2, 0, 2),), ((1, 4, 0, 3),), ((1, 4, 3, 4),)]),
+            ((1, 2), 8, [((0, 1, 0, 1), (1, 2, 0, 2))]),
+        ],
+    )
+    def test_batches_pack_blocks_end_to_end(self, monkeypatch, counts, block, batches):
+        monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", block)
+        assert quadrature_module._panel_batches(counts) == batches
 
     def test_cached_grids_are_read_only(self, monkeypatch):
         monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", 8)
-        for first, stop in quadrature_module._panel_blocks(12):
-            _, t, s = perturbation_module._panel_block(GaussianEnvelope(0.8), 12, first, stop)
-            assert t.shape == s.shape == (_PANEL_NODES, stop - first)
+        for batch in quadrature_module._panel_batches((6, 12)):
+            half, t, s = perturbation_module._panel_batch(GaussianEnvelope(0.8), batch)
+            size = sum(stop - first for _, _, first, stop in batch)
+            assert half.shape == (size,)
+            assert t.shape == s.shape == (_PANEL_NODES, size)
             for a in (t, s):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                half[0] = 1.0
 
     def test_cache_is_bounded(self, monkeypatch):
-        cached = perturbation_module._panel_block
-        assert cached.cache_info().maxsize == perturbation_module._CACHED_BLOCKS
-        # every kept block is two float arrays of at most _BLOCK_PANELS panels
-        bound = (perturbation_module._CACHED_BLOCKS * 2 * _PANEL_NODES
+        cached = perturbation_module._panel_batch
+        assert cached.cache_info().maxsize == perturbation_module._CACHED_BATCHES
+        # every kept batch is two float arrays of at most _BLOCK_PANELS panels
+        # and one complex half-width per panel
+        bound = (perturbation_module._CACHED_BATCHES * (2 * _PANEL_NODES + 2)
                  * quadrature_module._BLOCK_PANELS * np.dtype(float).itemsize)
         assert bound <= 4 * 2**20
-        for k in range(3 * perturbation_module._CACHED_BLOCKS):
-            perturbation_module._panel_integral(GaussianEnvelope(1.0 + k), (0.5, 0.5), 4)
-        assert cached.cache_info().currsize == perturbation_module._CACHED_BLOCKS
-        # a grid of many blocks passes through the cache one block at a time
+        for k in range(3 * perturbation_module._CACHED_BATCHES):
+            perturbation_module._panel_integral(GaussianEnvelope(1.0 + k), (0.5, 0.5), (4, 8))
+        assert cached.cache_info().currsize == perturbation_module._CACHED_BATCHES
+        # a grid of many blocks passes through the cache one batch at a time
         monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", 2)
         before = cached.cache_info()
-        perturbation_module._panel_integral(GaussianEnvelope(0.7), (0.5, 0.5), 20)
+        perturbation_module._panel_integral(GaussianEnvelope(0.7), (0.5, 0.5), (20,))
         after = cached.cache_info()
         assert after.misses - before.misses == 10
-        assert after.currsize == perturbation_module._CACHED_BLOCKS
+        assert after.currsize == perturbation_module._CACHED_BATCHES
 
 
 SIGMA = GaussianEnvelope(1.0).sigma
@@ -332,6 +369,37 @@ class TestRefinement:
         with pytest.raises(QuadratureConvergenceError, match="did not converge") as info:
             call()
         assert 0.0 < info.value.achieved < math.inf
+
+    @pytest.mark.parametrize("values,stop", [
+        ((1.0, 2.0, 2.0, 9.0), 3),  # agrees at the third level
+        ((1.0, 1.0, 5.0), 2),  # at the second, from the first call alone
+        ((1.0, 2.0, 3.0, 4.0), 4),  # never: the ladder runs out
+    ])
+    def test_first_two_levels_come_in_one_call(self, values, stop):
+        calls = []
+
+        def evaluate(levels):
+            calls.append(levels)
+            return tuple(values[level] for level in levels)
+
+        levels = list(range(len(values)))
+        try:
+            got = quadrature_module._refine(levels, evaluate, 1e-12, 0.0, "test")
+        except QuadratureConvergenceError as err:
+            assert stop == len(values)
+            assert err.achieved == 1.0
+        else:
+            assert got == values[stop - 1]
+        assert calls == [(0, 1)] + [(level,) for level in range(2, stop)]
+
+    @pytest.mark.parametrize("levels", [[], [7], (7,)])
+    def test_fewer_than_two_levels_never_evaluate(self, levels):
+        def evaluate(levels):
+            raise AssertionError("evaluated")
+
+        with pytest.raises(QuadratureConvergenceError) as info:
+            quadrature_module._refine(levels, evaluate, 1e-9, 0.0, "test")
+        assert info.value.achieved == math.inf
 
 
 class TestGaussianClosedForm:

@@ -121,8 +121,13 @@ def test_panel_integrators_hold_one_block_at_a_time(monkeypatch):
     env = GaussianEnvelope(1.0)
 
     def integral(panels):
-        perturbation_module._panel_block.cache_clear()
-        perturbation_module._panel_integral(env, (0.9, -0.6, 0.7), panels)
+        perturbation_module._panel_batch.cache_clear()
+        perturbation_module._panel_integral(env, (0.9, -0.6, 0.7), (panels,))
+
+    def integral_pair(panels):
+        # a refinement's first two counts, swept together
+        perturbation_module._panel_batch.cache_clear()
+        perturbation_module._panel_integral(env, (0.9, -0.6, 0.7), (panels, 2 * panels))
 
     system = LadderSystem((0.0, 25.0, 59.0), (1.0, 1.0))
     field = ControlField(
@@ -134,7 +139,7 @@ def test_panel_integrators_hold_one_block_at_a_time(monkeypatch):
         monkeypatch.setattr(tdse_module, "_panel_levels", lambda nodes: [panels, panels])
         propagate(system, field)
 
-    for run in (integral, propagation):
+    for run in (integral, integral_pair, propagation):
         run(block)  # fills the rule caches
         one = peak_bytes(lambda: run(block))
         eight = peak_bytes(lambda: run(8 * block))
