@@ -43,9 +43,9 @@ from .model import (
     RectangularEnvelope,
     detunings_for,
 )
+from . import quadrature
 from .quadrature import (
-    _each_level, _gauss_legendre, _panel_batches, _panel_levels, _panel_rule, _panel_times,
-    _refine,
+    _each_level, _gauss_legendre, _panel_batches, _panel_levels, _panel_rule, _refine,
 )
 
 # Oscillation bound for the Gaussian closed form: beyond |D_k|/(N sigma) of
@@ -111,31 +111,78 @@ def transition_yield(
 # ---------------------------------------------------------------------------
 
 
-# the batch cache keeps this many batches: 3 x (two float arrays of
-# 16 x 4,096 nodes and 4,096 complex half-widths) = 3.2 MiB
+# the batch cache keeps this many batches: 3 x 4,096 panels x (16 scaled
+# samples, a midpoint and a block index) = 1.7 MiB
 _CACHED_BATCHES = 3
 
 
 @lru_cache(maxsize=_CACHED_BATCHES)
 def _panel_batch(env, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Half-widths, node times and envelope samples of the panels of ``batch``.
+    """Scaled samples, node offsets and midpoints, and block index of the panels of ``batch``.
 
     ``batch`` holds blocks ``(i, panels, first, stop)`` of
     :func:`laddernoise.quadrature._panel_batches`: panels ``first`` to
-    ``stop - 1`` of ``env``'s support cut into ``panels``, side by side.  The
-    half-width of each panel, complex so that the complex products with it
-    need no cast, and the (node, panel) arrays ``t`` and ``s = env.value(t)``
-    are read-only, because the cache hands the same ones to every caller.
+    ``stop - 1`` of ``env``'s support cut into ``panels``, side by side.  A
+    node's time is ``m_p + h_b x_j``: ``m_p`` the midpoint of panel p,
+    ``h_b`` the half-width of the panels of its block b and ``x_j`` the rule
+    node.  Returned are
+
+    * ``sh = h_b s(t)``, the (node, panel) envelope samples scaled by their
+      panel's half-width;
+    * ``times``, the (node, block) offsets ``h_b x_j`` flattened, then the
+      midpoints, so that one ``exp`` gives the phases of both;
+    * ``block``, the index of each panel's block.
+
+    All are read-only, because the cache hands the same ones to every caller.
     """
     t0, t1 = env.support()
-    halves = [(t1 - t0) / (2 * panels) for _, panels, _, _ in batch]
-    half = np.repeat(np.array(halves, complex), [stop - first for _, _, first, stop in batch])
-    t = np.hstack([_panel_times(t0, h, first, stop)
-                   for h, (_, _, first, stop) in zip(halves, batch)])
-    s = env.value(t)
-    for a in (half, t, s):
+    halves = np.array([(t1 - t0) / (2 * panels) for _, panels, _, _ in batch])
+    block = np.repeat(np.arange(len(batch)), [stop - first for _, _, first, stop in batch])
+    mid = np.hstack([t0 + h * (2 * np.arange(first, stop) + 1)
+                     for h, (_, _, first, stop) in zip(halves, batch)])
+    offsets = _panel_rule()[0][:, None] * halves
+    sh = env.value(offsets.take(block, axis=1) + mid) * halves[block]
+    times = np.concatenate([offsets.ravel(), mid])
+    for a in (sh, times, block):
         a.setflags(write=False)
-    return half, t, s
+    return sh, times, block
+
+
+# counts tuples whose batch plans are kept; a refinement asks for two or three
+_CACHED_PLANS = 16
+
+
+@lru_cache(maxsize=_CACHED_PLANS)
+def _batch_plan(counts, block_panels) -> tuple:
+    """Each batch of ``counts``, with where its blocks lie in it.
+
+    One entry per batch of :func:`laddernoise.quadrature._panel_batches`:
+    the batch, its blocks as ``(i, lo, hi, first, more)`` (count ``i``'s
+    panels from ``first`` on sit in columns ``lo`` to ``hi - 1``, and
+    ``more`` says that a later batch goes on with the count) and the
+    read-only array of the blocks' ``lo``.  ``block_panels`` is the
+    ``_BLOCK_PANELS`` the batches are packed under; it only keys the cache,
+    so that a changed block size never finds a stale plan.
+    """
+    plan = []
+    for batch in _panel_batches(counts):
+        blocks, lo = [], 0
+        for i, panels, first, stop in batch:
+            blocks.append((i, lo, lo + stop - first, first, stop < panels))
+            lo += stop - first
+        starts = np.array([b[1] for b in blocks])
+        starts.setflags(write=False)
+        plan.append((batch, tuple(blocks), starts))
+    return tuple(plan)
+
+
+@lru_cache(maxsize=None)
+def _stacked_rule() -> np.ndarray:
+    """The panel rule's integration matrix with its weights as a last row, (17, 16)."""
+    _, w, matrix = _panel_rule()
+    rule = np.vstack([matrix, w])
+    rule.setflags(write=False)
+    return rule
 
 
 def _panel_integral(env, deltas, counts) -> tuple[complex, ...]:
@@ -146,58 +193,71 @@ def _panel_integral(env, deltas, counts) -> tuple[complex, ...]:
     matrix applied to the integrand; the carry, the running sum of the
     earlier panels' totals, joins the panels.  Samples are laid out (node,
     panel), so viewed as (re, im) pairs each panel is two real columns and
-    the real matrix and weights act by real matmuls.
+    the real matrix and weights act by real matmuls.  The samples carry
+    their panel's half-width, which commutes with both, so no leg scales by
+    it again.
 
     All counts are swept together, in the batches of
     :mod:`laddernoise.quadrature`: each count's blocks laid end to end, as
     many to a batch as ``_BLOCK_PANELS`` allows, so memory is bounded at any
-    panel count and the first two counts of a refinement share one batch.  In
-    a batch the matrix and the weights act by one matmul each, with a
-    half-width per panel, and ``s exp(-i d t)`` is formed once per distinct
-    detuning.  Each count's carry is a cumulative sum over its own panels
-    that runs on from one of its blocks into the next.  The last
-    ``_CACHED_BATCHES`` batches stay cached, so a scan refines on the same
-    one or two batches at every point.  The first leg is not multiplied by
-    its unit antiderivative, and the last leg forms no antiderivative, only
-    its panel totals.  None of this changes a bit of a count swept alone; a
-    count swept beside another can differ in round-off, as the column count of
-    a batch picks the BLAS kernel.
+    panel count and the first two counts of a refinement share one batch.
+    The plan of each counts tuple's batches is cached, and so are the last
+    ``_CACHED_BATCHES`` batches, so a scan refines on the same one or two
+    batches at every point.  In a batch ``exp(-i d t)`` is formed once per
+    distinct detuning, as a phase per node offset of each block times a
+    phase per panel midpoint.  The matrix stacked on the weights acts by one
+    matmul per leg, which gives the antiderivatives and the panel totals at
+    once.  A leg's carry is one cumulative sum over the batch, each block's
+    slice shifted to start from its count's end so far.  The first leg is
+    not multiplied by its unit antiderivative, and the last leg forms only
+    its panel totals and their sum over each block.  How the counts share a
+    batch, and so which BLAS kernel its column count picks, changes a value
+    only in round-off.
     """
-    _, w, matrix = _panel_rule()
-    # each count's legs' antiderivatives at the end of its blocks swept so far
-    ends = [[0j] * len(deltas) for _ in counts]
-
-    def carry(totals, batch, k):
-        """Leg ``k``'s carry in each count's panels; moves that leg's end on."""
-        out = np.empty_like(totals)
-        lo = 0
-        for i, _, first, stop in batch:
-            hi = lo + stop - first
-            part = totals[lo:hi]
-            run = np.add.accumulate(part, out=out[lo:hi])
-            run -= part
-            if first:
-                run += ends[i][k]
-            # the carry plus the last total, rounded as the carry is everywhere
-            # else; the bare cumulative sum can differ in the last bit
-            ends[i][k] = run[-1] + part[-1]
-            lo = hi
-        return out
-
-    for batch in _panel_batches(counts):
-        half, t, s = _panel_batch(env, batch)
+    w = _panel_rule()[1]
+    rule = _stacked_rule()
+    nodes = len(w)
+    last = len(deltas) - 1
+    # ends[k][i]: leg k's antiderivative at the end of count i's blocks so far
+    ends = [[0j] * len(counts) for _ in deltas]
+    for batch, blocks, starts in _batch_plan(tuple(counts), quadrature._BLOCK_PANELS):
+        sh, times, block = _panel_batch(env, batch)
         integrands = {}
         for k, d in enumerate(deltas):
             f = integrands.get(d)
             if f is None:
-                f = integrands[d] = s * np.exp(-1j * d * t)
+                phase = np.exp(-1j * d * times)
+                f = phase[:-len(block)].reshape(nodes, -1).take(block, axis=1)
+                f *= phase[-len(block):]
+                f *= sh
+                integrands[d] = f
             if k:
-                # times the previous leg's antiderivative
-                f = f * ((matrix @ g).view(np.complex128) * half + carry(totals, batch, k - 1))
+                # times the previous leg's antiderivative: the matrix's part
+                # plus the carry
+                run = np.add.accumulate(totals)
+                run -= totals
+                end = ends[k - 1]
+                for i, lo, hi, first, more in blocks:
+                    if lo or first:
+                        part = run[lo:hi]
+                        part += (end[i] if first else 0.0) - part[0]
+                    if more:
+                        # the carry plus the last total, rounded as the carry
+                        # is everywhere else
+                        end[i] = complex(run[hi - 1] + totals[hi - 1])
+                anti += run
+                f = f * anti
             g = f.view(np.float64)
-            totals = (w @ g).view(np.complex128) * half
-        carry(totals, batch, -1)
-    return tuple(complex(e[-1]) for e in ends)
+            if k < last:
+                out = rule @ g
+                anti = out[:nodes].view(np.complex128)
+                totals = out[nodes].view(np.complex128)
+            else:
+                totals = (w @ g).view(np.complex128)
+        end = ends[last]
+        for (i, _, _, first, _), total in zip(blocks, np.add.reduceat(totals, starts).tolist()):
+            end[i] = end[i] + total if first else total
+    return tuple(ends[last])
 
 
 def amplitude_time_quadrature(
@@ -220,7 +280,9 @@ def amplitude_time_quadrature(
     successive values agree to ``tol`` (relative, with an absolute floor of
     ``tol * 1e-4`` times the resonant magnitude).  The first two counts are
     swept together, in one batch while they fit in one, since the first
-    comparison needs both; each later count is swept alone.  Running out of
+    comparison needs both; each later count is swept alone.  Per batch and
+    distinct detuning a sweep takes 16 exponentials per block and one per
+    panel, and per leg one matmul and one carry scan.  Running out of
     grids raises :class:`QuadratureConvergenceError`; a start that leaves
     fewer than two grids under the cap raises before any is built.
 

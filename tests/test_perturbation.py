@@ -234,9 +234,11 @@ class TestPanelIntegral:
     @pytest.mark.parametrize("env", ENVELOPES, ids=repr)
     def test_matches_reference_loop(self, monkeypatch, env, deltas, panels):
         expected = reference_panel_integral(env, deltas, panels)
-        # the first call may build the grid, the second finds it cached
-        assert perturbation_module._panel_integral(env, deltas, (panels,)) == (expected,)
-        assert perturbation_module._panel_integral(env, deltas, (panels,)) == (expected,)
+        # the first call may build the grid, the second finds it cached; the
+        # factorised phases and pre-scaled samples round apart from the loop
+        (first,) = perturbation_module._panel_integral(env, deltas, (panels,))
+        assert first == pytest.approx(expected, rel=1e-13)
+        assert perturbation_module._panel_integral(env, deltas, (panels,)) == (first,)
         # and a grid swept in blocks of two panels carries each leg across them
         monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", 2)
         (blocked,) = perturbation_module._panel_integral(env, deltas, (panels,))
@@ -271,27 +273,59 @@ class TestPanelIntegral:
         monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", block)
         assert quadrature_module._panel_batches(counts) == batches
 
+    @pytest.mark.parametrize("panels", [1, 40])
+    @pytest.mark.parametrize("deltas", [(1.0, -1.0), (-1.0, -1.0, -1.0)], ids=str)
+    @pytest.mark.parametrize(
+        "env,scale", [(GaussianEnvelope(1.0), 40.0), (RectangularEnvelope(2.5), 100.0)], ids=repr
+    )
+    def test_factorised_phases_hold_at_large_phase(self, env, scale, deltas, panels):
+        # |delta t| reaches 250 to 320 here.  A lone far-detuned leg is left
+        # out: its value is all cancellation, so it would compare round-off
+        # with round-off
+        deltas = tuple(scale * d for d in deltas)
+        (value,) = perturbation_module._panel_integral(env, deltas, (panels,))
+        assert value == pytest.approx(reference_panel_integral(env, deltas, panels), rel=1e-12)
+
+    def test_batch_plan_follows_the_block_size(self, monkeypatch):
+        env, deltas, counts = GaussianEnvelope(1.3), (0.4, -1.1, 2.5), (12, 24)
+        unpatched = perturbation_module._panel_integral(env, deltas, counts)
+        monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", 2)
+        swept = []
+        real = perturbation_module._panel_batch
+
+        def spy(env, batch):
+            swept.append(batch)
+            return real(env, batch)
+
+        monkeypatch.setattr(perturbation_module, "_panel_batch", spy)
+        patched = perturbation_module._panel_integral(env, deltas, counts)
+        assert swept == quadrature_module._panel_batches(counts)
+        # 6 + 12 blocks of two panels, each its own batch
+        assert len(swept) == 18
+        assert patched == pytest.approx(unpatched, rel=1e-13)
+
     def test_cached_grids_are_read_only(self, monkeypatch):
         monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", 8)
         for batch in quadrature_module._panel_batches((6, 12)):
-            half, t, s = perturbation_module._panel_batch(GaussianEnvelope(0.8), batch)
+            sh, times, block = perturbation_module._panel_batch(GaussianEnvelope(0.8), batch)
             size = sum(stop - first for _, _, first, stop in batch)
-            assert half.shape == (size,)
-            assert t.shape == s.shape == (_PANEL_NODES, size)
-            for a in (t, s):
+            assert sh.shape == (_PANEL_NODES, size)
+            assert times.shape == (_PANEL_NODES * len(batch) + size,)
+            assert block.shape == (size,)
+            for a in (sh, times, block):
                 with pytest.raises(ValueError, match="read-only"):
-                    a[0, 0] = 1.0
-            with pytest.raises(ValueError, match="read-only"):
-                half[0] = 1.0
+                    a[(0,) * a.ndim] = 1
 
     def test_cache_is_bounded(self, monkeypatch):
         cached = perturbation_module._panel_batch
         assert cached.cache_info().maxsize == perturbation_module._CACHED_BATCHES
-        # every kept batch is two float arrays of at most _BLOCK_PANELS panels
-        # and one complex half-width per panel
-        bound = (perturbation_module._CACHED_BATCHES * (2 * _PANEL_NODES + 2)
+        # every kept batch is 16 scaled samples, a midpoint and a block index
+        # per panel, and 16 node offsets per block
+        bound = (perturbation_module._CACHED_BATCHES * (_PANEL_NODES + 2)
                  * quadrature_module._BLOCK_PANELS * np.dtype(float).itemsize)
-        assert bound <= 4 * 2**20
+        assert bound <= 2 * 2**20
+        arrays = cached(GaussianEnvelope(1.0), ((0, 12, 0, 12), (1, 24, 0, 24)))
+        assert sum(a.nbytes for a in arrays) == ((_PANEL_NODES + 2) * 36 + _PANEL_NODES * 2) * 8
         for k in range(3 * perturbation_module._CACHED_BATCHES):
             perturbation_module._panel_integral(GaussianEnvelope(1.0 + k), (0.5, 0.5), (4, 8))
         assert cached.cache_info().currsize == perturbation_module._CACHED_BATCHES
