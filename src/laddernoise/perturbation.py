@@ -45,12 +45,13 @@ from .model import (
 )
 from . import quadrature
 from .quadrature import (
-    _each_level, _gauss_legendre, _panel_batches, _panel_levels, _panel_rule, _refine,
+    _gauss_legendre, _panel_batches, _panel_levels, _panel_rule, _refine,
 )
 
 # Oscillation bound for the Gaussian closed form: beyond |D_k|/(N sigma) of
 # this value its delay integral is slow (N = 2, 3) or does not converge
-# (N = 4, 5), while the time-ordered quadrature takes milliseconds.
+# (N = 4, 5), while the time-ordered quadrature takes milliseconds; so
+# scaled_amplitude_gaussian refuses such a shot before it builds any grid.
 _OSCILLATION_BOUND = 10.0
 
 
@@ -68,7 +69,8 @@ class TransitionAmplitude:
 
     ``value = scaled * prod_k mu_k A_k e^{-i theta_k}``.  The magnitude can
     exceed 1 outside the validity of lowest-order theory; it is reported as
-    computed, never clamped.  A scaled amplitude that is not finite raises
+    computed, never clamped.  A scaled amplitude or a value that is not
+    finite, as from a finite but huge dipole or amplitude, raises
     ``FloatingPointError`` in :meth:`from_scaled`.
     """
 
@@ -86,7 +88,13 @@ class TransitionAmplitude:
     ) -> "TransitionAmplitude":
         if not cmath.isfinite(scaled):
             raise FloatingPointError(f"{method.value} amplitude is not finite: {scaled}")
-        return cls(scaled * _component_product(system, field), complex(scaled), method)
+        product = _component_product(system, field)
+        value = scaled * product
+        if not cmath.isfinite(value):
+            raise FloatingPointError(
+                f"{method.value} amplitude is not finite: {value} "
+                f"(prod_k mu_k A_k e^(-i theta_k) = {product})")
+        return cls(value, complex(scaled), method)
 
 
 def _component_product(system: LadderSystem, field: ControlField) -> complex:
@@ -99,11 +107,20 @@ def _component_product(system: LadderSystem, field: ControlField) -> complex:
 def transition_yield(
     amplitude: TransitionAmplitude, system: LadderSystem, field: ControlField
 ) -> float:
-    """|value|^2 computed from the scaled amplitude; phase factors never enter."""
+    """|value|^2 computed from the scaled amplitude; phase factors never enter.
+
+    A yield that is not finite raises ``FloatingPointError``.
+    """
     prod = 1.0
     for mu, c in zip(system.dipoles, field.components):
         prod *= mu * c.amplitude
-    return abs(amplitude.scaled) ** 2 * prod**2
+    try:
+        value = abs(amplitude.scaled) ** 2 * prod**2
+    except OverflowError:  # a float power past the largest float raises
+        value = math.inf
+    if not math.isfinite(value):
+        raise FloatingPointError(f"yield |scaled|^2 prod_k (mu_k A_k)^2 is not finite: {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +385,71 @@ def _delay_grid(n: int, nodes_per_dim: int):
     return x, weighted
 
 
-def _separable_delay_integral(
-    x: np.ndarray, weighted: np.ndarray, freq: tuple[float, ...]
-) -> complex:
-    """sum_p weighted[p] exp(-i freq . tau_p) over the tensor grid on nodes x.
+# pairs of leading levels whose end-to-end grid is kept; the largest, N = 3
+# at 64 + 128 nodes, holds a (192, 192) block-diagonal matrix of 295 kB
+_CACHED_LEVEL_PAIRS = 4
 
-    The phase is a sum over the delays, so the sum is the weight tensor
-    contracted with one phase vector exp(-i freq_k x) per delay.  The last
-    (contiguous) axis goes first, as one real matmul against the (re, im)
-    pairs of its phase vector, so the real weights are never copied to
-    complex.
+
+@lru_cache(maxsize=_CACHED_LEVEL_PAIRS)
+def _paired_delay_grid(n: int, levels: tuple[int, ...]):
+    """The delay grids of ``levels`` laid end to end, for N = 2 or 3.
+
+    Returns the 1-D nodes of every level end to end, the weights and the
+    index at which each level's nodes start.  For N = 2 the weights are the
+    levels' weight vectors end to end; for N = 3 each level's (nodes, nodes)
+    weight matrix is one diagonal block of a matrix that is zero off the
+    blocks.  Only the first two levels of a ladder are laid out this way, as
+    :func:`laddernoise.quadrature._refine` asks for them together.
     """
+    grids = [_delay_grid(n, nodes) for nodes in levels]
+    x = np.concatenate([g[0] for g in grids])
+    starts = np.cumsum((0,) + levels[:-1])
+    if n == 2:
+        weights = np.concatenate([g[1] for g in grids])
+    else:
+        weights = np.zeros((x.size, x.size))
+        for lo, nodes, (_, w) in zip(starts, levels, grids):
+            weights[lo:lo + nodes, lo:lo + nodes] = w.reshape(nodes, nodes)
+    for a in (x, weights, starts):
+        a.setflags(write=False)
+    return x, weights, starts
+
+
+def _delay_integral(
+    n: int, levels: tuple[int, ...], freq: tuple[float, ...]
+) -> tuple[complex, ...]:
+    """sum_p weighted[p] exp(-i freq . tau_p) over the tensor grid of each of ``levels``.
+
+    The phase is a sum over the delays, so each level's sum is its weight
+    tensor contracted with one phase vector exp(-i freq_k x) per delay.  For
+    N = 2 and 3 all levels are done at once: their nodes lie end to end
+    (:func:`_paired_delay_grid` for a pair, :func:`_delay_grid`'s own arrays
+    for a lone level), one ``exp`` gives every delay's phase at every node,
+    the last delay is contracted by one real matmul against the (re, im)
+    pairs of its phases (for N = 3; the block-diagonal weights keep the
+    levels apart), and one ``np.add.reduceat`` sums each level.  For N = 4
+    and 5 each level's tensor is contracted alone, last (contiguous) axis
+    first, so the real weights are never copied to complex.
+    """
+    if n > 3:
+        return tuple(_tensor_contraction(*_delay_grid(n, nodes), freq) for nodes in levels)
+    if len(levels) > 1:
+        x, weights, starts = _paired_delay_grid(n, levels)
+    else:
+        x, weights = _delay_grid(n, levels[0])
+        starts = (0,)
+        if n == 3:
+            weights = weights.reshape(x.size, x.size)
+    phases = np.exp(np.multiply.outer([-1j * f for f in freq], x))
+    if n == 3:
+        # the second delay summed out: one complex weight per first-delay node
+        pairs = phases[1].view(np.float64).reshape(x.size, 2)
+        weights = (weights @ pairs).view(np.complex128)[:, 0]
+    return tuple(np.add.reduceat(phases[0] * weights, starts).tolist())
+
+
+def _tensor_contraction(x: np.ndarray, weighted: np.ndarray, freq: tuple[float, ...]) -> complex:
+    """One level's sum, its weight tensor contracted one delay at a time."""
     nodes = x.size
     pairs = np.exp(-1j * freq[-1] * x).view(np.float64).reshape(nodes, 2)
     acc = (weighted.reshape(-1, nodes) @ pairs).view(np.complex128)
@@ -388,13 +459,19 @@ def _separable_delay_integral(
 
 
 # per-dimension node ladders, sized so the largest tensor grid stays a few
-# million points (the resonant integrals converge several levels earlier)
+# million points (the resonant integrals converge several levels earlier).
+# The 32-node level of N = 3 is used only by shots whose oscillation rate is
+# at most _COARSE_START_RATE.  Below it the 32/64 pair agrees about as often
+# as the 64/128 pair does, and the 64-node value is exact to rounding.  Past
+# it the pair disagrees more often, and each disagreement costs one more
+# call than a start at 64
 _NODE_LADDERS = {
     2: (64, 128, 256, 512, 1024, 2048, 4096),
-    3: (64, 128, 256, 512, 1024, 2048),
+    3: (32, 64, 128, 256, 512, 1024, 2048),
     4: (32, 48, 64, 96, 128),
     5: (16, 24, 32, 48),
 }
+_COARSE_START_RATE = 1.5
 
 
 def scaled_amplitude_gaussian(
@@ -409,10 +486,16 @@ def scaled_amplitude_gaussian(
     truncated box, refining the per-dimension node count along
     ``_NODE_LADDERS[N]`` until the relative change drops below ``tol`` (with an
     absolute floor of ``tol * 1e-12``); a ladder that runs out first raises
-    :class:`QuadratureConvergenceError`.  The phase is a sum over the delays,
-    so each level contracts the damped weight tensor with a product of
-    one-dimensional phase vectors: (N-1) * nodes exponentials, not
-    nodes^(N-1).
+    :class:`QuadratureConvergenceError`.  So does an oscillation rate
+    ``max_k |D_k| / (N sigma)`` above 10, before any grid is built: there
+    the integral is slow (N = 2, 3) or does not converge (N = 4, 5).  An
+    N = 3 shot starts at 32 nodes when its rate is at most 1.5, at 64
+    otherwise.  The phase is a sum over the delays, so each level contracts
+    the damped weight tensor with a product of one-dimensional phase
+    vectors: (N-1) * nodes exponentials, not nodes^(N-1).  The first two
+    levels are evaluated in one call of :func:`_delay_integral`; for N = 2
+    and 3 their nodes lie end to end, so one exponential, one matmul (N = 3)
+    and one segmented sum give both values.
     """
     if not isinstance(envelope, GaussianEnvelope):
         raise TypeError("this closed form requires a Gaussian envelope")
@@ -420,15 +503,18 @@ def scaled_amplitude_gaussian(
     if not 2 <= n <= 5:
         raise ValueError("supported rung counts are 2..5; use the resonant form "
                          "for N = 1 or time-domain quadrature otherwise")
-    frequencies = _delay_frequencies(detunings)
     sigma = envelope.sigma
     tau = envelope.tau
-    freq = tuple(f / (n * sigma) for f in frequencies)
-
-    def integral_at(nodes: int) -> complex:
-        return _separable_delay_integral(*_delay_grid(n, nodes), freq)
-
-    integral = _refine(_NODE_LADDERS[n], _each_level(integral_at),
+    freq = tuple(f / (n * sigma) for f in _delay_frequencies(detunings))
+    rate = max(abs(f) for f in freq)
+    if not rate <= _OSCILLATION_BOUND:
+        raise QuadratureConvergenceError(
+            f"delay-integral quadrature: oscillation rate {rate:.3g} is past "
+            f"{_OSCILLATION_BOUND:g}", achieved=math.inf)
+    levels = _NODE_LADDERS[n]
+    if n == 3 and rate > _COARSE_START_RATE:
+        levels = levels[1:]
+    integral = _refine(levels, lambda nodes: _delay_integral(n, nodes, freq),
                        tol, tol * 1e-12, "delay-integral quadrature")
     prefactor = (
         (1j) ** n
@@ -504,9 +590,10 @@ def closed_form_amplitude(
     ``rect-equal`` on a rectangular one); otherwise the
     Gaussian delay integral (2 <= N <= 5) or the rectangular residue sum
     applies.  The time-ordered quadrature (method ``time-quadrature``) takes
-    over for other rung counts, for degenerate rectangular cumulants, for a
-    Gaussian oscillation rate ``max_k |D_k| / (N sigma)`` above 10 and for a
-    Gaussian delay integral whose node ladder runs out.
+    over for other rung counts, for degenerate rectangular cumulants and
+    whenever :func:`scaled_amplitude_gaussian` raises
+    :class:`QuadratureConvergenceError`: at a Gaussian oscillation rate
+    ``max_k |D_k| / (N sigma)`` above 10, or when its node ladder runs out.
     ``tol`` bounds the relative error of any quadrature involved.
     """
     det = detunings_for(system, field)
@@ -520,12 +607,11 @@ def closed_form_amplitude(
                   else AmplitudeMethod.RESONANT_CLOSED_FORM)
         return TransitionAmplitude.from_scaled(scaled, system, field, method)
     if isinstance(field.envelope, GaussianEnvelope):
-        rate = max(abs(f) for f in _delay_frequencies(det)) / (n * field.envelope.sigma)
-        if n in _NODE_LADDERS and rate <= _OSCILLATION_BOUND:
+        if n in _NODE_LADDERS:
             try:
                 scaled = scaled_amplitude_gaussian(det, field.envelope, tol=tol)
             except QuadratureConvergenceError:
-                pass  # the ladder ran out: the time quadrature below takes over
+                pass  # too fast, or the ladder ran out: the time quadrature takes over
             else:
                 return TransitionAmplitude.from_scaled(
                     scaled, system, field, AmplitudeMethod.GAUSSIAN_CLOSED_FORM

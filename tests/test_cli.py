@@ -1033,6 +1033,36 @@ class TestExitCodes:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
+        "run,evaluator",
+        [
+            ({"type": "shot"}, "closed-form"),
+            (SCAN_RUN, "closed-form"),
+            (SCAN_RUN, "perturb-time"),
+            ({"type": "ensemble", "samples": 4, "seed": 1}, "closed-form"),
+        ],
+        ids=["shot", "scan-closed-form", "scan-perturb-time", "ensemble"],
+    )
+    @pytest.mark.parametrize("rungs", [2, 3])
+    def test_huge_dipoles_are_a_numerical_failure(self, tmp_path, capsys, run, evaluator, rungs):
+        # on three rungs the product of the dipoles 1e120 is inf, which used to
+        # give inf, nan rows; on two its square overflows in the yield
+        gaps = [60.0, 114.0, 162.0][:rungs]
+        cfg = minimal_config(run=run, evaluator=evaluator)
+        cfg["system"] = {"energies": [0.0, 60.0, 174.0, 336.0][:rungs + 1],
+                         "dipoles": [1e120] * rungs}
+        cfg["field"]["components"] = [
+            {"amplitude": 1.0, "phase": 0.0, "frequency": gap + 0.3} for gap in gaps
+        ]
+        cfg["noise"] = {"components": [{"frequency": {"dist": "gaussian", "std": 0.1}}] * rungs}
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "o.csv")
+        assert main([run["type"], "--config", path, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "not finite" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
         "run,named",
         [
             ({"type": "ensemble", "samples": 2, "seed": -1}, "run.seed"),

@@ -1,6 +1,7 @@
 """Closed forms and time-ordered quadrature for the transition amplitude."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from laddernoise.perturbation import (
     _damping_matrix,
     _delay_frequencies,
     _delay_grid,
-    _separable_delay_integral,
+    _delay_integral,
+    _paired_delay_grid,
     _truncation_radius,
 )
 from laddernoise.quadrature import _PANEL_NODES, _gauss_legendre, _panel_rule
@@ -522,22 +524,101 @@ def _delay_deltas(n, zero_frequency):
     return (sum(others) / (n - 1),) + others
 
 
-class TestSeparableDelayIntegral:
+def _direct_tensor_sum(n, nodes, freq):
+    """The delay sum over every point of the tensor grid, with no factorisation."""
+    x, weighted = _delay_grid(n, nodes)
+    grids = np.meshgrid(*([x] * (n - 1)), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    return complex(np.exp(-1j * (pts @ np.asarray(freq))) @ weighted)
+
+
+def _rate_deltas(n, rate):
+    """Detunings of ``n`` rungs whose oscillation rate max_k |D_k| / (N sigma) is ``rate``."""
+    base = DELAY_DELTAS[:n]
+    sigma = GaussianEnvelope(1.0).sigma
+    now = max(abs(f) for f in _delay_frequencies(Detunings(base))) / (n * sigma)
+    return tuple(d * rate / now for d in base)
+
+
+class TestDelayIntegral:
+    # every pair a refinement starts with: an N = 3 shot past rate 1.5 skips 32
     @pytest.mark.parametrize(
-        "n,nodes",
-        [(n, nodes) for n, ladder in _NODE_LADDERS.items() for nodes in ladder[:2]],
+        "n,levels",
+        [(n, ladder[:2]) for n, ladder in _NODE_LADDERS.items()] + [(3, _NODE_LADDERS[3][1:3])],
     )
     @pytest.mark.parametrize("zero_frequency", [False, True])
-    def test_matches_direct_tensor_sum(self, n, nodes, zero_frequency):
+    def test_each_level_matches_direct_tensor_sum(self, n, levels, zero_frequency):
         frequencies = _delay_frequencies(Detunings(_delay_deltas(n, zero_frequency)))
         assert (0.0 in frequencies) == zero_frequency
         freq = tuple(f / (n * GaussianEnvelope(1.0).sigma) for f in frequencies)
-        x, weighted = _delay_grid(n, nodes)
-        grids = np.meshgrid(*([x] * (n - 1)), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        direct = complex(np.exp(-1j * (pts @ np.asarray(freq))) @ weighted)
-        separable = _separable_delay_integral(x, weighted, freq)
-        assert abs(separable - direct) <= 1e-12 * abs(direct)
+        paired = _delay_integral(n, levels, freq)
+        assert len(paired) == 2
+        for nodes, value in zip(levels, paired):
+            direct = _direct_tensor_sum(n, nodes, freq)
+            assert abs(value - direct) <= 1e-12 * abs(direct)
+            (alone,) = _delay_integral(n, (nodes,), freq)
+            assert abs(alone - direct) <= 1e-12 * abs(direct)
+
+    @pytest.mark.parametrize(
+        "n,levels",
+        [(2, (64, 128)), (3, (32, 64)), (3, (64, 128)), (2, (16, 24)), (3, (12, 18))],
+    )
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.5, 5.0, 9.5])
+    def test_level_in_a_pair_matches_level_alone(self, n, levels, rate):
+        sigma = GaussianEnvelope(1.0).sigma
+        frequencies = _delay_frequencies(Detunings(_rate_deltas(n, rate)))
+        freq = tuple(f / (n * sigma) for f in frequencies)
+        paired = _delay_integral(n, levels, freq)
+        for nodes, value in zip(levels, paired):
+            (alone,) = _delay_integral(n, (nodes,), freq)
+            assert abs(value - alone) <= 1e-13 * abs(alone)
+
+    @pytest.mark.parametrize(
+        "n,rate,tol,calls",
+        [
+            # the parent evaluated 64 and 128 (N = 3 at rate 0.3 too), and 256
+            # where it is listed here; an N = 3 shot at rate 1.5 or below now
+            # stops at 64, one level lower, in the same one call
+            (2, 0.3, 1e-7, [(64, 128)]),
+            (2, 5.0, 1e-7, [(64, 128)]),
+            (2, 9.5, 1e-7, [(64, 128)]),
+            (2, 9.5, 1e-10, [(64, 128), (256,)]),
+            (3, 0.3, 1e-7, [(32, 64)]),
+            (3, 1.0, 1e-10, [(32, 64)]),
+            (3, 2.0, 1e-7, [(64, 128)]),
+            (3, 5.0, 1e-7, [(64, 128)]),
+            (3, 9.5, 1e-7, [(64, 128), (256,)]),
+        ],
+    )
+    def test_refinement_asks_for_first_two_levels_in_one_call(
+        self, monkeypatch, n, rate, tol, calls
+    ):
+        seen = []
+
+        def spy(n, levels, freq):
+            seen.append(levels)
+            return _delay_integral(n, levels, freq)
+
+        monkeypatch.setattr(perturbation_module, "_delay_integral", spy)
+        scaled_amplitude_gaussian(Detunings(_rate_deltas(n, rate)), GaussianEnvelope(1.0), tol=tol)
+        assert seen == calls
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rate_past_the_bound_raises_before_any_grid(self, monkeypatch, n):
+        calls = []
+
+        def converged(n, levels, freq):
+            calls.append(levels)
+            return (0j,) * len(levels)
+
+        monkeypatch.setattr(perturbation_module, "_delay_integral", converged)
+        env = GaussianEnvelope(1.0)
+        with pytest.raises(QuadratureConvergenceError, match="oscillation rate"):
+            scaled_amplitude_gaussian(Detunings(_rate_deltas(n, 10.5)), env)
+        assert calls == []
+        # below the bound the delay integral runs
+        scaled_amplitude_gaussian(Detunings(_rate_deltas(n, 9.99)), env)
+        assert calls == [_NODE_LADDERS[n][1:3] if n == 3 else _NODE_LADDERS[n][:2]]
 
 
 class TestDelayGrid:
@@ -547,6 +628,61 @@ class TestDelayGrid:
         # nodes + nodes^(N-1) floats: no point array beside the weights
         cached = _delay_grid(n, nodes)
         assert [a.shape for a in cached] == [(nodes,), (nodes ** (n - 1),)]
+
+    @pytest.mark.parametrize("n,levels", [(2, (64, 128)), (3, (32, 64)), (3, (64, 128))])
+    def test_paired_grid_is_read_only_and_block_diagonal(self, n, levels):
+        x, weights, starts = _paired_delay_grid(n, levels)
+        assert not any(a.flags.writeable for a in (x, weights, starts))
+        assert starts.tolist() == [0, levels[0]]
+        for lo, nodes in zip(starts, levels):
+            own_x, own_w = _delay_grid(n, nodes)
+            assert np.array_equal(x[lo:lo + nodes], own_x)
+            block = weights[lo:lo + nodes] if n == 2 else weights[lo:lo + nodes, lo:lo + nodes]
+            assert np.array_equal(block.ravel(), own_w)
+        if n == 3:
+            first = levels[0]
+            assert not weights[:first, first:].any() and not weights[first:, :first].any()
+
+    def test_paired_grid_is_built_for_the_first_two_levels_only(self, monkeypatch):
+        built = []
+
+        def spy(n, levels):
+            built.append((n, levels))
+            return _paired_delay_grid(n, levels)
+
+        monkeypatch.setattr(perturbation_module, "_paired_delay_grid", spy)
+        env = GaussianEnvelope(1.0)
+        for n, rate in [(2, 0.3), (2, 9.5), (3, 0.3), (3, 5.0), (3, 9.5), (4, 0.3), (5, 0.3)]:
+            scaled_amplitude_gaussian(Detunings(_rate_deltas(n, rate)), env, tol=1e-10)
+        ladders = {(n, _NODE_LADDERS[n][:2]) for n in (2, 3)} | {(3, _NODE_LADDERS[3][1:3])}
+        assert built and set(built) <= ladders
+
+    def test_paired_cache_is_bounded(self):
+        # every pair a ladder can start with, the largest N = 3 at 64 + 128
+        pairs = [(2, _NODE_LADDERS[2][:2]), (3, _NODE_LADDERS[3][:2]),
+                 (3, _NODE_LADDERS[3][1:3])]
+        largest = max(sum(a.nbytes for a in _paired_delay_grid(*pair)) for pair in pairs)
+        assert largest <= 192 * 192 * 8 + 192 * 8 + 2 * 8
+        assert perturbation_module._CACHED_LEVEL_PAIRS * largest <= 1.5 * 2**20
+        for k in range(8):
+            _paired_delay_grid(2, (8 + k, 16 + k))
+        info = _paired_delay_grid.cache_info()
+        assert info.currsize == info.maxsize == perturbation_module._CACHED_LEVEL_PAIRS
+
+    @pytest.mark.parametrize("nodes", [256, 512])
+    def test_lone_level_reuses_the_grid_without_a_copy(self, nodes):
+        weighted = _delay_grid(3, nodes)[1]
+        freq = (0.4, -0.7)
+        _delay_integral(3, (nodes,), freq)
+        tracemalloc.start()
+        try:
+            _delay_integral(3, (nodes,), freq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the phases and their products take a few complex numbers per node;
+        # a copy of the weights would take nodes^2 floats
+        assert peak < 8 * nodes * 16 < weighted.nbytes / 4
 
 
 class TestGaussianKernel:
