@@ -385,8 +385,9 @@ def _delay_grid(n: int, nodes_per_dim: int):
     return x, weighted
 
 
-# pairs of leading levels whose end-to-end grid is kept; the largest, N = 3
-# at 64 + 128 nodes, holds a (192, 192) block-diagonal matrix of 295 kB
+# pairs of leading levels whose end-to-end grid is kept; the largest a
+# ladder starts with, N = 3 at 32 + 64 nodes, holds a (96, 96)
+# block-diagonal matrix of 74 kB
 _CACHED_LEVEL_PAIRS = 4
 
 
@@ -422,24 +423,17 @@ def _delay_integral(
 
     The phase is a sum over the delays, so each level's sum is its weight
     tensor contracted with one phase vector exp(-i freq_k x) per delay.  For
-    N = 2 and 3 all levels are done at once: their nodes lie end to end
-    (:func:`_paired_delay_grid` for a pair, :func:`_delay_grid`'s own arrays
-    for a lone level), one ``exp`` gives every delay's phase at every node,
-    the last delay is contracted by one real matmul against the (re, im)
-    pairs of its phases (for N = 3; the block-diagonal weights keep the
-    levels apart), and one ``np.add.reduceat`` sums each level.  For N = 4
-    and 5 each level's tensor is contracted alone, last (contiguous) axis
-    first, so the real weights are never copied to complex.
+    N = 2 and 3 a pair of levels is done at once: their nodes lie end to end
+    (:func:`_paired_delay_grid`), one ``exp`` gives every delay's phase at
+    every node, the last delay is contracted by one real matmul against the
+    (re, im) pairs of its phases (for N = 3; the block-diagonal weights keep
+    the levels apart), and one ``np.add.reduceat`` sums each level.  A lone
+    level, and every level for N = 4 and 5, is contracted alone, last
+    (contiguous) axis first, so the real weights are never copied to complex.
     """
-    if n > 3:
+    if n > 3 or len(levels) == 1:
         return tuple(_tensor_contraction(*_delay_grid(n, nodes), freq) for nodes in levels)
-    if len(levels) > 1:
-        x, weights, starts = _paired_delay_grid(n, levels)
-    else:
-        x, weights = _delay_grid(n, levels[0])
-        starts = (0,)
-        if n == 3:
-            weights = weights.reshape(x.size, x.size)
+    x, weights, starts = _paired_delay_grid(n, levels)
     phases = np.exp(np.multiply.outer([-1j * f for f in freq], x))
     if n == 3:
         # the second delay summed out: one complex weight per first-delay node
@@ -460,18 +454,15 @@ def _tensor_contraction(x: np.ndarray, weighted: np.ndarray, freq: tuple[float, 
 
 # per-dimension node ladders, sized so the largest tensor grid stays a few
 # million points (the resonant integrals converge several levels earlier).
-# The 32-node level of N = 3 is used only by shots whose oscillation rate is
-# at most _COARSE_START_RATE.  Below it the 32/64 pair agrees about as often
-# as the 64/128 pair does, and the 64-node value is exact to rounding.  Past
-# it the pair disagrees more often, and each disagreement costs one more
-# call than a start at 64
+# N = 3 starts at 32 nodes: at the oscillation rates of a jittered ladder
+# (up to about 2) the 32/64 pair already agrees, and the 64-node value is
+# exact to rounding; a faster shot pays one more level before it stops
 _NODE_LADDERS = {
     2: (64, 128, 256, 512, 1024, 2048, 4096),
     3: (32, 64, 128, 256, 512, 1024, 2048),
     4: (32, 48, 64, 96, 128),
     5: (16, 24, 32, 48),
 }
-_COARSE_START_RATE = 1.5
 
 
 def scaled_amplitude_gaussian(
@@ -488,11 +479,10 @@ def scaled_amplitude_gaussian(
     absolute floor of ``tol * 1e-12``); a ladder that runs out first raises
     :class:`QuadratureConvergenceError`.  So does an oscillation rate
     ``max_k |D_k| / (N sigma)`` above 10, before any grid is built: there
-    the integral is slow (N = 2, 3) or does not converge (N = 4, 5).  An
-    N = 3 shot starts at 32 nodes when its rate is at most 1.5, at 64
-    otherwise.  The phase is a sum over the delays, so each level contracts
-    the damped weight tensor with a product of one-dimensional phase
-    vectors: (N-1) * nodes exponentials, not nodes^(N-1).  The first two
+    the integral is slow (N = 2, 3) or does not converge (N = 4, 5).  The
+    phase is a sum over the delays, so each level contracts the damped
+    weight tensor with a product of one-dimensional phase vectors:
+    (N-1) * nodes exponentials, not nodes^(N-1).  The first two
     levels are evaluated in one call of :func:`_delay_integral`; for N = 2
     and 3 their nodes lie end to end, so one exponential, one matmul (N = 3)
     and one segmented sum give both values.
@@ -511,10 +501,7 @@ def scaled_amplitude_gaussian(
         raise QuadratureConvergenceError(
             f"delay-integral quadrature: oscillation rate {rate:.3g} is past "
             f"{_OSCILLATION_BOUND:g}", achieved=math.inf)
-    levels = _NODE_LADDERS[n]
-    if n == 3 and rate > _COARSE_START_RATE:
-        levels = levels[1:]
-    integral = _refine(levels, lambda nodes: _delay_integral(n, nodes, freq),
+    integral = _refine(_NODE_LADDERS[n], lambda nodes: _delay_integral(n, nodes, freq),
                        tol, tol * 1e-12, "delay-integral quadrature")
     prefactor = (
         (1j) ** n

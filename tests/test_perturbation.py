@@ -541,10 +541,8 @@ def _rate_deltas(n, rate):
 
 
 class TestDelayIntegral:
-    # every pair a refinement starts with: an N = 3 shot past rate 1.5 skips 32
     @pytest.mark.parametrize(
-        "n,levels",
-        [(n, ladder[:2]) for n, ladder in _NODE_LADDERS.items()] + [(3, _NODE_LADDERS[3][1:3])],
+        "n,levels", [(n, ladder[:2]) for n, ladder in _NODE_LADDERS.items()]
     )
     @pytest.mark.parametrize("zero_frequency", [False, True])
     def test_each_level_matches_direct_tensor_sum(self, n, levels, zero_frequency):
@@ -576,18 +574,18 @@ class TestDelayIntegral:
     @pytest.mark.parametrize(
         "n,rate,tol,calls",
         [
-            # the parent evaluated 64 and 128 (N = 3 at rate 0.3 too), and 256
-            # where it is listed here; an N = 3 shot at rate 1.5 or below now
-            # stops at 64, one level lower, in the same one call
+            # N = 3 starts at 32 nodes: up to rate 2 it stops at 64 in one
+            # call; a faster shot needs the 32-node level for nothing and
+            # pays one more call on its way to 128 or 256
             (2, 0.3, 1e-7, [(64, 128)]),
             (2, 5.0, 1e-7, [(64, 128)]),
             (2, 9.5, 1e-7, [(64, 128)]),
             (2, 9.5, 1e-10, [(64, 128), (256,)]),
             (3, 0.3, 1e-7, [(32, 64)]),
             (3, 1.0, 1e-10, [(32, 64)]),
-            (3, 2.0, 1e-7, [(64, 128)]),
-            (3, 5.0, 1e-7, [(64, 128)]),
-            (3, 9.5, 1e-7, [(64, 128), (256,)]),
+            (3, 2.0, 1e-7, [(32, 64)]),
+            (3, 5.0, 1e-7, [(32, 64), (128,)]),
+            (3, 9.5, 1e-7, [(32, 64), (128,), (256,)]),
         ],
     )
     def test_refinement_asks_for_first_two_levels_in_one_call(
@@ -602,6 +600,19 @@ class TestDelayIntegral:
         monkeypatch.setattr(perturbation_module, "_delay_integral", spy)
         scaled_amplitude_gaussian(Detunings(_rate_deltas(n, rate)), GaussianEnvelope(1.0), tol=tol)
         assert seen == calls
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0, 1.5, 5.0, 9.5])
+    def test_three_rungs_converge_to_the_fine_grid_value(self, rate):
+        # the 32-node start may stop at 64 nodes: the value it returns must be
+        # the one a 512-node grid gives, not merely one the 32-node level agrees with
+        env = GaussianEnvelope(1.0)
+        det = Detunings(_rate_deltas(3, rate))
+        freq = tuple(f / (3 * env.sigma) for f in _delay_frequencies(det))
+        prefactor = ((1j) ** 3 * env.tau**3 * math.exp(-det.total**2 / (3 * env.sigma**2))
+                     / (4 * math.pi * math.sqrt(3)))
+        (fine,) = _delay_integral(3, (512,), freq)
+        value = scaled_amplitude_gaussian(det, env, tol=1e-12)
+        assert abs(value - prefactor * fine) <= 1e-13 * abs(prefactor * fine)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rate_past_the_bound_raises_before_any_grid(self, monkeypatch, n):
@@ -618,7 +629,7 @@ class TestDelayIntegral:
         assert calls == []
         # below the bound the delay integral runs
         scaled_amplitude_gaussian(Detunings(_rate_deltas(n, 9.99)), env)
-        assert calls == [_NODE_LADDERS[n][1:3] if n == 3 else _NODE_LADDERS[n][:2]]
+        assert calls == [_NODE_LADDERS[n][:2]]
 
 
 class TestDelayGrid:
@@ -654,16 +665,14 @@ class TestDelayGrid:
         env = GaussianEnvelope(1.0)
         for n, rate in [(2, 0.3), (2, 9.5), (3, 0.3), (3, 5.0), (3, 9.5), (4, 0.3), (5, 0.3)]:
             scaled_amplitude_gaussian(Detunings(_rate_deltas(n, rate)), env, tol=1e-10)
-        ladders = {(n, _NODE_LADDERS[n][:2]) for n in (2, 3)} | {(3, _NODE_LADDERS[3][1:3])}
-        assert built and set(built) <= ladders
+        assert built and set(built) <= {(n, _NODE_LADDERS[n][:2]) for n in (2, 3)}
 
     def test_paired_cache_is_bounded(self):
-        # every pair a ladder can start with, the largest N = 3 at 64 + 128
-        pairs = [(2, _NODE_LADDERS[2][:2]), (3, _NODE_LADDERS[3][:2]),
-                 (3, _NODE_LADDERS[3][1:3])]
-        largest = max(sum(a.nbytes for a in _paired_delay_grid(*pair)) for pair in pairs)
-        assert largest <= 192 * 192 * 8 + 192 * 8 + 2 * 8
-        assert perturbation_module._CACHED_LEVEL_PAIRS * largest <= 1.5 * 2**20
+        # the pair each ladder starts with, the largest N = 3 at 32 + 64
+        largest = max(sum(a.nbytes for a in _paired_delay_grid(n, _NODE_LADDERS[n][:2]))
+                      for n in (2, 3))
+        assert largest <= 96 * 96 * 8 + 96 * 8 + 2 * 8
+        assert perturbation_module._CACHED_LEVEL_PAIRS * largest <= 2**20 / 2
         for k in range(8):
             _paired_delay_grid(2, (8 + k, 16 + k))
         info = _paired_delay_grid.cache_info()
