@@ -419,10 +419,10 @@ def frequency_noise_average(
         raise TypeError("frequency-noise averaging requires a Gaussian envelope")
     d = tuple(d)
     n = len(d)
-    if n not in (2, 3):
+    if n not in _PAIR_NODE_LADDERS:
         raise ValueError(
-            "analytic frequency-noise averaging supports N in {2, 3}; use the "
-            "Monte Carlo ensemble for larger ladders"
+            f"analytic frequency-noise averaging supports N in {set(_PAIR_NODE_LADDERS)}; "
+            "use the Monte Carlo ensemble for larger ladders"
         )
     kernel = FreqNoiseKernel(d, tuple(delta_bar), envelope.sigma)
     value = _refine(_PAIR_NODE_LADDERS[n],

@@ -50,7 +50,7 @@ from .quadrature import (
 
 # Oscillation bound for the Gaussian closed form: beyond |D_k|/(N sigma) of
 # this value its delay integral is slow (N = 2, 3) or does not converge
-# (N = 4, 5), while the time-ordered quadrature takes milliseconds; so
+# (N = 4), while the time-ordered quadrature takes milliseconds; so
 # scaled_amplitude_gaussian refuses such a shot before it builds any grid.
 _OSCILLATION_BOUND = 10.0
 
@@ -428,7 +428,7 @@ def _delay_integral(
     every node, the last delay is contracted by one real matmul against the
     (re, im) pairs of its phases (for N = 3; the block-diagonal weights keep
     the levels apart), and one ``np.add.reduceat`` sums each level.  A lone
-    level, and every level for N = 4 and 5, is contracted alone, last
+    level, and every level for N = 4, is contracted alone, last
     (contiguous) axis first, so the real weights are never copied to complex.
     """
     if n > 3 or len(levels) == 1:
@@ -461,7 +461,6 @@ _NODE_LADDERS = {
     2: (64, 128, 256, 512, 1024, 2048, 4096),
     3: (32, 64, 128, 256, 512, 1024, 2048),
     4: (32, 48, 64, 96, 128),
-    5: (16, 24, 32, 48),
 }
 
 
@@ -470,7 +469,7 @@ def scaled_amplitude_gaussian(
     envelope: GaussianEnvelope,
     tol: float = 1e-7,
 ) -> complex:
-    """Gaussian-envelope closed form for the scaled amplitude, 2 <= N <= 5.
+    """Gaussian-envelope closed form for the scaled amplitude, 2 <= N <= 4.
 
     Evaluates the analytic prefactor times the damped oscillatory integral
     over the inter-event delays by tensor Gauss-Legendre quadrature on the
@@ -479,7 +478,7 @@ def scaled_amplitude_gaussian(
     absolute floor of ``tol * 1e-12``); a ladder that runs out first raises
     :class:`QuadratureConvergenceError`.  So does an oscillation rate
     ``max_k |D_k| / (N sigma)`` above 10, before any grid is built: there
-    the integral is slow (N = 2, 3) or does not converge (N = 4, 5).  The
+    the integral is slow (N = 2, 3) or does not converge (N = 4).  The
     phase is a sum over the delays, so each level contracts the damped
     weight tensor with a product of one-dimensional phase vectors:
     (N-1) * nodes exponentials, not nodes^(N-1).  The first two
@@ -490,9 +489,9 @@ def scaled_amplitude_gaussian(
     if not isinstance(envelope, GaussianEnvelope):
         raise TypeError("this closed form requires a Gaussian envelope")
     n = detunings.n
-    if not 2 <= n <= 5:
-        raise ValueError("supported rung counts are 2..5; use the resonant form "
-                         "for N = 1 or time-domain quadrature otherwise")
+    if n not in _NODE_LADDERS:
+        raise ValueError(f"supported rung counts are {min(_NODE_LADDERS)}..{max(_NODE_LADDERS)}; "
+                         "use the resonant form for N = 1 or time-domain quadrature otherwise")
     sigma = envelope.sigma
     tau = envelope.tau
     freq = tuple(f / (n * sigma) for f in _delay_frequencies(detunings))
@@ -575,7 +574,7 @@ def closed_form_amplitude(
 
     Equal detunings use ``i^N S(-delta)^N / N!`` for either envelope (labelled
     ``rect-equal`` on a rectangular one); otherwise the
-    Gaussian delay integral (2 <= N <= 5) or the rectangular residue sum
+    Gaussian delay integral (2 <= N <= 4) or the rectangular residue sum
     applies.  The time-ordered quadrature (method ``time-quadrature``) takes
     over for other rung counts, for degenerate rectangular cumulants and
     whenever :func:`scaled_amplitude_gaussian` raises

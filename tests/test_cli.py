@@ -478,7 +478,7 @@ class TestRunExperiment:
     def test_closed_form_fallback_uses_configured_closed_form_tol(
         self, tmp_path, monkeypatch
     ):
-        # the Gaussian delay integral covers 2..5 rungs; six fall back to the
+        # the Gaussian delay integral covers 2..4 rungs; six fall back to the
         # time quadrature, which must run at the configured tolerance
         seen = []
         real = perturbation_module.amplitude_time_quadrature

@@ -537,9 +537,11 @@ class TestFrequencyNoiseAverage:
             assert stats.mean > noiseless, f"d^2={d_sq}"
 
     def test_unsupported_n(self):
+        # the rung counts with a delay-pair node ladder, and no others
         env = GaussianEnvelope(1.0)
-        with pytest.raises(ValueError, match="Monte Carlo"):
-            frequency_noise_average(env, (1.0,) * 4, (0.0,) * 4)
+        for n in (1, 4):
+            with pytest.raises(ValueError, match=r"N in \{2, 3\}; use the Monte Carlo"):
+                frequency_noise_average(env, (1.0,) * n, (0.0,) * n)
 
 
 class TestStrongDetuningAsymptote:

@@ -441,7 +441,7 @@ class TestRefinement:
 class TestGaussianClosedForm:
     def test_resonant_reduction(self):
         env = GaussianEnvelope(1.0)
-        for n in (2, 3, 4, 5):
+        for n in (2, 3, 4):
             val = scaled_amplitude_gaussian(Detunings((0.0,) * n), env)
             assert val == pytest.approx(
                 (1j) ** n / math.factorial(n), rel=1e-6
@@ -466,26 +466,24 @@ class TestGaussianClosedForm:
         closed = scaled_amplitude_gaussian(Detunings(deltas), env)
         assert closed == pytest.approx(quad, rel=1e-6)
 
-    def test_n5_matches_time_quadrature(self):
+    @pytest.mark.parametrize(
+        "scaled_deltas", [(0.3, -0.1, 0.2, 0.05), (2.6, -1.9, 0.7, -2.8)], ids=["small", "3sigma"]
+    )
+    def test_n4_matches_time_quadrature(self, scaled_deltas):
+        # ladder() stops at three gaps, so four rungs need their own system
         env = GaussianEnvelope(1.0)
-        sig = env.sigma
-        deltas = (0.3 * sig, -0.1 * sig, 0.2 * sig, 0.05 * sig, -0.15 * sig)
-        system = LadderSystem((0, 80, 170, 272, 386, 512), (1.0,) * 5)
-        wbar = transition_frequencies(system)
-        f = ControlField(
-            tuple(
-                PulseComponent(1.0, 0.0, w + d) for w, d in zip(wbar, deltas)
-            ),
-            env,
-        )
+        deltas = tuple(d * env.sigma for d in scaled_deltas)
+        system = LadderSystem((0, 80, 170, 272, 386), (1.0,) * 4)
+        f = detuned_field(system, deltas, env)
         closed = scaled_amplitude_gaussian(Detunings(deltas), env)
         quad = amplitude_time_quadrature(system, f).scaled
-        assert closed == pytest.approx(quad, rel=1e-5)
+        assert closed == pytest.approx(quad, rel=1e-6)
 
-    def test_rejects_n_out_of_range(self):
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_rejects_n_out_of_range(self, n):
         env = GaussianEnvelope(1.0)
-        with pytest.raises(ValueError, match="2..5"):
-            scaled_amplitude_gaussian(Detunings((0.1,)), env)
+        with pytest.raises(ValueError, match=r"2\.\.4"):
+            scaled_amplitude_gaussian(Detunings((0.1,) * n), env)
 
     def test_rejects_rectangular_envelope(self):
         with pytest.raises(TypeError, match="Gaussian"):
@@ -614,7 +612,7 @@ class TestDelayIntegral:
         value = scaled_amplitude_gaussian(det, env, tol=1e-12)
         assert abs(value - prefactor * fine) <= 1e-13 * abs(prefactor * fine)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", sorted(_NODE_LADDERS))
     def test_rate_past_the_bound_raises_before_any_grid(self, monkeypatch, n):
         calls = []
 
@@ -633,7 +631,7 @@ class TestDelayIntegral:
 
 
 class TestDelayGrid:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", sorted(_NODE_LADDERS))
     def test_caches_nodes_and_weights_only(self, n):
         nodes = _NODE_LADDERS[n][0]
         # nodes + nodes^(N-1) floats: no point array beside the weights
@@ -663,7 +661,7 @@ class TestDelayGrid:
 
         monkeypatch.setattr(perturbation_module, "_paired_delay_grid", spy)
         env = GaussianEnvelope(1.0)
-        for n, rate in [(2, 0.3), (2, 9.5), (3, 0.3), (3, 5.0), (3, 9.5), (4, 0.3), (5, 0.3)]:
+        for n, rate in [(2, 0.3), (2, 9.5), (3, 0.3), (3, 5.0), (3, 9.5), (4, 0.3)]:
             scaled_amplitude_gaussian(Detunings(_rate_deltas(n, rate)), env, tol=1e-10)
         assert built and set(built) <= {(n, _NODE_LADDERS[n][:2]) for n in (2, 3)}
 
@@ -880,10 +878,24 @@ class TestClosedFormDispatch:
         for f, method in cases:
             assert closed_form_amplitude(system, f).method is method
 
-    def test_gaussian_beyond_five_rungs_falls_back_to_quadrature(self):
-        # the Gaussian delay integral covers 2..5 rungs only
-        system = LadderSystem((0.0, 60.0, 174.0, 336.0, 536.0, 786.0, 1096.0), (1.0,) * 6)
-        f = detuned_field(system, (0.1, 0.3, 0.0, -0.2, 0.1, 0.2), GaussianEnvelope(1.0))
+    @pytest.mark.parametrize(
+        "deltas",
+        [
+            (0.1, 0.3, 0.0, -0.2, 0.1, 0.2),
+            # five rungs at up to 3 sigma, where a 4-D delay grid runs out of nodes
+            tuple(d * GaussianEnvelope(1.0).sigma for d in (-2.83, -2.25, 1.02, 0.88, 0.69)),
+        ],
+        ids=["six", "five-3sigma"],
+    )
+    def test_gaussian_beyond_four_rungs_falls_back_to_quadrature(self, monkeypatch, deltas):
+        # the Gaussian delay integral covers 2..4 rungs only, and builds no grid beyond
+        def no_grid(n, levels, freq):
+            raise AssertionError(f"delay grid built for N = {n}")
+
+        monkeypatch.setattr(perturbation_module, "_delay_integral", no_grid)
+        energies = (0.0, 60.0, 174.0, 336.0, 536.0, 786.0, 1096.0)[:len(deltas) + 1]
+        system = LadderSystem(energies, (1.0,) * len(deltas))
+        f = detuned_field(system, deltas, GaussianEnvelope(1.0))
         fallback = closed_form_amplitude(system, f, tol=1e-7)
         assert fallback.method is AmplitudeMethod.TIME_QUADRATURE
         assert fallback == amplitude_time_quadrature(system, f, tol=1e-7)
