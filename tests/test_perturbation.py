@@ -467,7 +467,9 @@ class TestGaussianClosedForm:
         assert closed == pytest.approx(quad, rel=1e-6)
 
     @pytest.mark.parametrize(
-        "scaled_deltas", [(0.3, -0.1, 0.2, 0.05), (2.6, -1.9, 0.7, -2.8)], ids=["small", "3sigma"]
+        "scaled_deltas",
+        [(0.3, -0.1, 0.2, 0.05), (0.9, -0.6, 1.0, -0.4), (2.6, -1.9, 0.7, -2.8)],
+        ids=["small", "1sigma", "3sigma"],
     )
     def test_n4_matches_time_quadrature(self, scaled_deltas):
         # ladder() stops at three gaps, so four rungs need their own system
@@ -899,6 +901,25 @@ class TestClosedFormDispatch:
         fallback = closed_form_amplitude(system, f, tol=1e-7)
         assert fallback.method is AmplitudeMethod.TIME_QUADRATURE
         assert fallback == amplitude_time_quadrature(system, f, tol=1e-7)
+
+    @pytest.mark.parametrize(
+        "deltas, method",
+        [
+            ((0.1, 0.3, 0.0, -0.2), AmplitudeMethod.GAUSSIAN_CLOSED_FORM),
+            ((0.2,) * 5, AmplitudeMethod.RESONANT_CLOSED_FORM),
+        ],
+        ids=["four-distinct", "five-equal"],
+    )
+    def test_gaussian_closed_forms_at_the_rung_range_edge(self, deltas, method):
+        # four rungs keep the delay integral; equal detunings keep their closed
+        # form at any rung count, five included
+        energies = (0.0, 60.0, 174.0, 336.0, 536.0, 786.0)[:len(deltas) + 1]
+        system = LadderSystem(energies, (1.0,) * len(deltas))
+        f = detuned_field(system, deltas, GaussianEnvelope(1.0))
+        amp = closed_form_amplitude(system, f, tol=1e-7)
+        assert amp.method is method
+        quad = amplitude_time_quadrature(system, f, tol=1e-9)
+        assert amp.scaled == pytest.approx(quad.scaled, rel=1e-6)
 
     def test_degenerate_rect_fallback_is_consistent(self):
         system = ladder(2)
