@@ -170,6 +170,12 @@ def _known(node, keys) -> dict:
     return node
 
 
+def _section(raw, key):
+    """``raw[key]``, or an empty object when the key is absent or null."""
+    node = raw.get(key)
+    return {} if node is None else node
+
+
 def _build_system(raw, problems) -> LadderSystem | None:
     sys_raw = raw.get("system")
     if not isinstance(sys_raw, dict):
@@ -433,9 +439,9 @@ def load_config(path: str) -> ExperimentConfig:
     )
     tol_keys = [f.name for f in fields(Tolerances)]
     tolerances = _guard(
-        problems, "tolerances", lambda: Tolerances(**_known(raw.get("tolerances") or {}, tol_keys))
+        problems, "tolerances", lambda: Tolerances(**_known(_section(raw, "tolerances"), tol_keys))
     )
-    output = _guard(problems, "output", _output, raw.get("output") or {})
+    output = _guard(problems, "output", _output, _section(raw, "output"))
 
     run = _build_run(raw, system, fld, noise, evaluator, tolerances, problems)
 

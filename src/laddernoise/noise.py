@@ -383,7 +383,8 @@ def _pair_sum(kernel: FreqNoiseKernel, n: int, nodes: int) -> float:
     so the damped pair weight is w[p] w[q]; the kernel is evaluated on about
     2^18 pairs at a time, one block of rows p against every q.
     """
-    x, weighted = _delay_grid(n, nodes)
+    x, weights, _ = _delay_grid(n, (nodes,))
+    weighted = weights.ravel()
     grids = np.meshgrid(*([x] * (n - 1)), indexing="ij")
     pts = np.stack(grids, axis=-1).reshape(-1, n - 1)
     block = max(1, (1 << 18) // pts.shape[0])

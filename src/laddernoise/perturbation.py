@@ -165,34 +165,6 @@ def _panel_batch(env, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sh, times, block
 
 
-# counts tuples whose batch plans are kept; a refinement asks for two or three
-_CACHED_PLANS = 16
-
-
-@lru_cache(maxsize=_CACHED_PLANS)
-def _batch_plan(counts, block_panels) -> tuple:
-    """Each batch of ``counts``, with where its blocks lie in it.
-
-    One entry per batch of :func:`laddernoise.quadrature._panel_batches`:
-    the batch, its blocks as ``(i, lo, hi, first, more)`` (count ``i``'s
-    panels from ``first`` on sit in columns ``lo`` to ``hi - 1``, and
-    ``more`` says that a later batch goes on with the count) and the
-    read-only array of the blocks' ``lo``.  ``block_panels`` is the
-    ``_BLOCK_PANELS`` the batches are packed under; it only keys the cache,
-    so that a changed block size never finds a stale plan.
-    """
-    plan = []
-    for batch in _panel_batches(counts):
-        blocks, lo = [], 0
-        for i, panels, first, stop in batch:
-            blocks.append((i, lo, lo + stop - first, first, stop < panels))
-            lo += stop - first
-        starts = np.array([b[1] for b in blocks])
-        starts.setflags(write=False)
-        plan.append((batch, tuple(blocks), starts))
-    return tuple(plan)
-
-
 @lru_cache(maxsize=None)
 def _stacked_rule() -> np.ndarray:
     """The panel rule's integration matrix with its weights as a last row, (17, 16)."""
@@ -214,20 +186,20 @@ def _panel_integral(env, deltas, counts) -> tuple[complex, ...]:
     their panel's half-width, which commutes with both, so no leg scales by
     it again.
 
-    All counts are swept together, in the batches of
-    :mod:`laddernoise.quadrature`: each count's blocks laid end to end, as
-    many to a batch as ``_BLOCK_PANELS`` allows, so memory is bounded at any
-    panel count and the first two counts of a refinement share one batch.
-    The plan of each counts tuple's batches is cached, and so are the last
-    ``_CACHED_BATCHES`` batches, so a scan refines on the same one or two
-    batches at every point.  In a batch ``exp(-i d t)`` is formed once per
-    distinct detuning, as a phase per node offset of each block times a
-    phase per panel midpoint.  The matrix stacked on the weights acts by one
-    matmul per leg, which gives the antiderivatives and the panel totals at
-    once.  A leg's carry is one cumulative sum over the batch, each block's
-    slice shifted to start from its count's end so far.  The first leg is
-    not multiplied by its unit antiderivative, and the last leg forms only
-    its panel totals and their sum over each block.  How the counts share a
+    All counts are swept together, in the one cached plan of
+    :func:`laddernoise.quadrature._panel_batches`: each count's blocks laid
+    end to end, as many to a batch as ``_BLOCK_PANELS`` allows, with each
+    block's columns in its batch, so memory is bounded at any panel count
+    and the first two counts of a refinement share one batch.  The last
+    ``_CACHED_BATCHES`` batches are cached too, so a scan refines on the
+    same one or two batches at every point.  In a batch ``exp(-i d t)`` is
+    formed once per distinct detuning, as a phase per node offset of each
+    block times a phase per panel midpoint.  The matrix stacked on the
+    weights acts by one matmul per leg, which gives the antiderivatives and
+    the panel totals at once.  A leg's carry is one cumulative sum over the
+    batch, each block's slice shifted to start from its count's end so far.
+    The first leg is not multiplied by its unit antiderivative, and the last
+    leg forms only its panel totals and their sum over each block.  How the counts share a
     batch, and so which BLAS kernel its column count picks, changes a value
     only in round-off.
     """
@@ -237,7 +209,7 @@ def _panel_integral(env, deltas, counts) -> tuple[complex, ...]:
     last = len(deltas) - 1
     # ends[k][i]: leg k's antiderivative at the end of count i's blocks so far
     ends = [[0j] * len(counts) for _ in deltas]
-    for batch, blocks, starts in _batch_plan(tuple(counts), quadrature._BLOCK_PANELS):
+    for batch, blocks, starts in _panel_batches(tuple(counts), quadrature._BLOCK_PANELS):
         sh, times, block = _panel_batch(env, batch)
         integrands = {}
         for k, d in enumerate(deltas):
@@ -334,18 +306,15 @@ def _delay_frequencies(detunings: Detunings) -> tuple[float, ...]:
     return tuple(k * total - n * detunings.cumulants[k - 1] for k in range(1, n))
 
 
-@lru_cache(maxsize=None)
 def _damping_matrix(n: int) -> np.ndarray:
     q = np.zeros((n - 1, n - 1))
     for k in range(1, n):
         q[k - 1, k - 1] = k * (n - k)
         for j in range(k + 1, n):
             q[k - 1, j - 1] = q[j - 1, k - 1] = k * (n - j)
-    q.setflags(write=False)
     return q
 
 
-@lru_cache(maxsize=None)
 def _truncation_radius(n: int) -> float:
     # big enough that the damping factor is below 1e-18 everywhere outside.
     # The damping matrix is the discrete Brownian-bridge covariance
@@ -355,62 +324,52 @@ def _truncation_radius(n: int) -> float:
     return math.sqrt(4.0 * n * math.log(1e18) / lam_min)
 
 
+# 16 layouts are kept: a level alone holds nodes^(N-1) floats, 32 MiB at the
+# top of the N = 3 ladder and 16 MiB at that of N = 4; a ladder's first two
+# levels at most 74 kB, for N = 3 at 32 + 64 nodes
 @lru_cache(maxsize=16)
-def _delay_grid(n: int, nodes_per_dim: int):
-    """Gauss-Legendre nodes on [0, R] and the damped tensor weights on [0, R]^(N-1).
-
-    The 1-D rule comes from :func:`laddernoise.quadrature._gauss_legendre`.
-
-    Returns the 1-D nodes ``x`` and the flat (C-order) weight tensor with the
-    damping factor exp(-tau.Q.tau / 4N) applied: entry p belongs to the delay
-    point whose coordinates are x at the multi-index of p.  The tensor is built
-    from open grids, so no point array is ever formed.
-    """
-    radius = _truncation_radius(n)
-    x, w = _gauss_legendre(nodes_per_dim)
-    x = radius * (x + 1.0) / 2.0
-    w = w * radius / 2.0
-    q = _damping_matrix(n)
-    axes = np.meshgrid(*([x] * (n - 1)), indexing="ij", sparse=True)
-    damping = np.zeros((nodes_per_dim,) * (n - 1))
-    for k, j in np.ndindex(q.shape):
-        damping += q[k, j] * (axes[k] * axes[j])
-    np.divide(damping, -4.0 * n, out=damping)
-    weighted = np.exp(damping, out=damping)
-    for wk in np.meshgrid(*([w] * (n - 1)), indexing="ij", sparse=True):
-        weighted *= wk
-    weighted = weighted.ravel()
-    x.setflags(write=False)
-    weighted.setflags(write=False)
-    return x, weighted
-
-
-# pairs of leading levels whose end-to-end grid is kept; the largest a
-# ladder starts with, N = 3 at 32 + 64 nodes, holds a (96, 96)
-# block-diagonal matrix of 74 kB
-_CACHED_LEVEL_PAIRS = 4
-
-
-@lru_cache(maxsize=_CACHED_LEVEL_PAIRS)
-def _paired_delay_grid(n: int, levels: tuple[int, ...]):
-    """The delay grids of ``levels`` laid end to end, for N = 2 or 3.
+def _delay_grid(n: int, levels: tuple[int, ...]):
+    """The damped Gauss-Legendre delay grids on [0, R]^(N-1) of ``levels``, end to end.
 
     Returns the 1-D nodes of every level end to end, the weights and the
-    index at which each level's nodes start.  For N = 2 the weights are the
-    levels' weight vectors end to end; for N = 3 each level's (nodes, nodes)
-    weight matrix is one diagonal block of a matrix that is zero off the
-    blocks.  Only the first two levels of a ladder are laid out this way, as
-    :func:`laddernoise.quadrature._refine` asks for them together.
+    read-only index at which each level's nodes start.  A level's weight
+    tensor has the damping factor exp(-tau.Q.tau / 4N) applied and is built
+    from open grids, so no point array is ever formed; alone, it is returned
+    as a C-order view of shape ``(nodes,)`` for N = 2 and ``(nodes^(N-2),
+    nodes)`` above, the last delay on the columns.  Several levels (N = 2
+    or 3) lie end to end: for N = 2 their weight vectors, for N = 3 their
+    (nodes, nodes) matrices as the diagonal blocks of one matrix that is
+    zero off the blocks.  The 1-D rule comes from
+    :func:`laddernoise.quadrature._gauss_legendre`.
     """
-    grids = [_delay_grid(n, nodes) for nodes in levels]
-    x = np.concatenate([g[0] for g in grids])
-    starts = np.cumsum((0,) + levels[:-1])
-    if n == 2:
-        weights = np.concatenate([g[1] for g in grids])
+    if len(levels) > 1:
+        grids = [_delay_grid(n, (nodes,)) for nodes in levels]
+        x = np.concatenate([g[0] for g in grids])
+        starts = np.cumsum((0,) + levels[:-1])
+        if n == 2:
+            weights = np.concatenate([g[1] for g in grids])
+        else:
+            weights = np.zeros((x.size, x.size))
+            for lo, nodes, (_, w, _) in zip(starts, levels, grids):
+                weights[lo:lo + nodes, lo:lo + nodes] = w
     else:
-        weights = np.zeros((x.size, x.size))
-        for lo, nodes, (_, w) in zip(starts, levels, grids):
-            weights[lo:lo + nodes, lo:lo + nodes] = w.reshape(nodes, nodes)
+        (nodes,) = levels
+        radius = _truncation_radius(n)
+        x, w = _gauss_legendre(nodes)
+        x = radius * (x + 1.0) / 2.0
+        w = w * radius / 2.0
+        q = _damping_matrix(n)
+        axes = np.meshgrid(*([x] * (n - 1)), indexing="ij", sparse=True)
+        weights = np.zeros((nodes,) * (n - 1))
+        for k, j in np.ndindex(q.shape):
+            weights += q[k, j] * (axes[k] * axes[j])
+        np.divide(weights, -4.0 * n, out=weights)
+        np.exp(weights, out=weights)
+        for wk in np.meshgrid(*([w] * (n - 1)), indexing="ij", sparse=True):
+            weights *= wk
+        if n > 2:
+            weights = weights.reshape(-1, nodes)
+        starts = np.zeros(1, dtype=int)
     for a in (x, weights, starts):
         a.setflags(write=False)
     return x, weights, starts
@@ -422,34 +381,26 @@ def _delay_integral(
     """sum_p weighted[p] exp(-i freq . tau_p) over the tensor grid of each of ``levels``.
 
     The phase is a sum over the delays, so each level's sum is its weight
-    tensor contracted with one phase vector exp(-i freq_k x) per delay.  For
-    N = 2 and 3 a pair of levels is done at once: their nodes lie end to end
-    (:func:`_paired_delay_grid`), one ``exp`` gives every delay's phase at
-    every node, the last delay is contracted by one real matmul against the
-    (re, im) pairs of its phases (for N = 3; the block-diagonal weights keep
-    the levels apart), and one ``np.add.reduceat`` sums each level.  A lone
-    level, and every level for N = 4, is contracted alone, last
-    (contiguous) axis first, so the real weights are never copied to complex.
+    tensor contracted with one phase vector exp(-i freq_k x) per delay, on
+    the layout of :func:`_delay_grid`: one ``exp`` gives every delay's phase
+    at every node, the last delay is contracted by one real matmul against
+    the (re, im) pairs of its phases (N >= 3), so the real weights are never
+    copied to complex, the middle delay by one complex matmul (N = 4), and
+    one ``np.add.reduceat`` sums each level over the first.  For N = 2 and 3
+    several levels share the layout, their block-diagonal weights keeping
+    them apart; for N = 4 each level is contracted alone.
     """
-    if n > 3 or len(levels) == 1:
-        return tuple(_tensor_contraction(*_delay_grid(n, nodes), freq) for nodes in levels)
-    x, weights, starts = _paired_delay_grid(n, levels)
+    if n > 3 and len(levels) > 1:
+        return tuple(v for nodes in levels for v in _delay_integral(n, (nodes,), freq))
+    x, weights, starts = _delay_grid(n, levels)
     phases = np.exp(np.multiply.outer([-1j * f for f in freq], x))
-    if n == 3:
-        # the second delay summed out: one complex weight per first-delay node
-        pairs = phases[1].view(np.float64).reshape(x.size, 2)
+    if n > 2:
+        # the last delay summed out: one complex weight per row
+        pairs = phases[-1].view(np.float64).reshape(x.size, 2)
         weights = (weights @ pairs).view(np.complex128)[:, 0]
+    if n > 3:
+        weights = weights.reshape(-1, x.size) @ phases[1]
     return tuple(np.add.reduceat(phases[0] * weights, starts).tolist())
-
-
-def _tensor_contraction(x: np.ndarray, weighted: np.ndarray, freq: tuple[float, ...]) -> complex:
-    """One level's sum, its weight tensor contracted one delay at a time."""
-    nodes = x.size
-    pairs = np.exp(-1j * freq[-1] * x).view(np.float64).reshape(nodes, 2)
-    acc = (weighted.reshape(-1, nodes) @ pairs).view(np.complex128)
-    for f in freq[-2::-1]:
-        acc = acc.reshape(-1, nodes) @ np.exp(-1j * f * x)
-    return complex(acc.item())
 
 
 # per-dimension node ladders, sized so the largest tensor grid stays a few
@@ -481,10 +432,10 @@ def scaled_amplitude_gaussian(
     the integral is slow (N = 2, 3) or does not converge (N = 4).  The
     phase is a sum over the delays, so each level contracts the damped
     weight tensor with a product of one-dimensional phase vectors:
-    (N-1) * nodes exponentials, not nodes^(N-1).  The first two
-    levels are evaluated in one call of :func:`_delay_integral`; for N = 2
-    and 3 their nodes lie end to end, so one exponential, one matmul (N = 3)
-    and one segmented sum give both values.
+    (N-1) * nodes exponentials, not nodes^(N-1).  The first two levels are
+    asked for in one call of :func:`_delay_integral`, which evaluates the
+    cached layout of the levels of each call by one contraction; for N = 2
+    and 3 the two levels share one layout.
     """
     if not isinstance(envelope, GaussianEnvelope):
         raise TypeError("this closed form requires a Gaussian envelope")

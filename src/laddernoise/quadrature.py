@@ -7,8 +7,9 @@ Every Gauss-Legendre rule in the package comes from :func:`_gauss_legendre`.
 It owns the block size: both panel integrators sweep their panels in the
 same blocks, so one number bounds the memory of either at any panel count.
 The time-ordered quadrature packs the blocks of several panel counts into
-batches of at most that size (:func:`_panel_batches`), so small counts are
-swept together.
+batches of at most that size, so small counts are swept together; the one
+cached plan of those batches, with where each block lies in its batch, is
+:func:`_panel_batches`.
 """
 
 from __future__ import annotations
@@ -103,23 +104,39 @@ def _panel_blocks(panels: int) -> list[tuple[int, int]]:
             for first in range(0, panels, _BLOCK_PANELS)]
 
 
-def _panel_batches(counts) -> list[tuple[tuple[int, int, int, int], ...]]:
+# the plans of 16 counts tuples are kept; a refinement asks for two or three
+@lru_cache(maxsize=16)
+def _panel_batches(counts: tuple[int, ...], block_panels: int) -> tuple:
     """The blocks of every count in ``counts``, laid end to end and packed into batches.
 
-    A block is ``(i, counts[i], first, stop)``.  Consecutive blocks share a
-    batch while it holds at most ``_BLOCK_PANELS`` panels, so counts that fit
-    together are swept together and larger ones a block at a time.
+    Each count is cut into blocks of at most ``block_panels`` panels, and
+    consecutive blocks share a batch while it holds at most ``block_panels``
+    panels, so counts that fit together are swept together and larger ones a
+    block at a time.  One entry per batch: its blocks ``(i, counts[i],
+    first, stop)``, where each lies in the batch as ``(i, lo, hi, first,
+    more)`` (count ``i``'s panels from ``first`` on sit in columns ``lo`` to
+    ``hi - 1``, and ``more`` says that a later batch goes on with the count)
+    and the read-only array of the blocks' ``lo``.  The caller passes
+    ``_BLOCK_PANELS``, so a changed block size never finds a stale plan.
     """
-    batches, batch, size = [], [], 0
+    batches, size = [[]], 0
     for i, panels in enumerate(counts):
-        for first, stop in _panel_blocks(panels):
-            if size + stop - first > _BLOCK_PANELS:
-                batches.append(tuple(batch))
-                batch, size = [], 0
-            batch.append((i, panels, first, stop))
+        for first in range(0, panels, block_panels):
+            stop = min(first + block_panels, panels)
+            if size + stop - first > block_panels:
+                batches.append([])
+                size = 0
+            batches[-1].append((i, panels, first, stop, size))
             size += stop - first
-    batches.append(tuple(batch))
-    return batches
+    plan = []
+    for batch in batches:
+        starts = np.array([lo for *_, lo in batch])
+        starts.setflags(write=False)
+        plan.append((tuple(block[:4] for block in batch),
+                     tuple((i, lo, lo + stop - first, first, stop < panels)
+                           for i, panels, first, stop, lo in batch),
+                     starts))
+    return tuple(plan)
 
 
 def _panel_times(t0: float, half: float, first: int, stop: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -659,7 +660,8 @@ class TestMain:
         assert self.run_main(["optimize", "--config", path, "--out", out]) == 4
         assert "timing converged" not in capsys.readouterr().err
         # the best point found is still written
-        body = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
+        body = [ln for ln in Path(out).read_text(encoding="utf-8").splitlines()
+                if not ln.startswith("#")]
         assert body[0].startswith("eval_index")
         assert body[-1].split(",")[-2] == "0"  # converged column
 
@@ -677,8 +679,8 @@ class TestMain:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert self.run_main(["ensemble", "--config", path, "--out", out1]) == 0
         assert self.run_main(["ensemble", "--config", path, "--out", out2]) == 0
-        a = open(out1).read().replace("a.csv", "X")
-        b = open(out2).read().replace("b.csv", "X")
+        a = Path(out1).read_text(encoding="utf-8").replace("a.csv", "X")
+        b = Path(out2).read_text(encoding="utf-8").replace("b.csv", "X")
         assert a == b
         assert "# config_digest=" in a and "# seed=12" in a
 
@@ -696,15 +698,15 @@ class TestMain:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         self.run_main(["ensemble", "--config", path, "--out", out1])
         self.run_main(["ensemble", "--config", path, "--out", out2, "--seed", "13"])
-        mean1 = open(out1).read().splitlines()[-1].split(",")[0]
-        mean2 = open(out2).read().splitlines()[-1].split(",")[0]
+        mean1 = Path(out1).read_text(encoding="utf-8").splitlines()[-1].split(",")[0]
+        mean2 = Path(out2).read_text(encoding="utf-8").splitlines()[-1].split(",")[0]
         assert mean1 != mean2
 
     def test_csv_floats_use_17_significant_digits(self, tmp_path):
         path = write_config(tmp_path, minimal_config())
         out = str(tmp_path / "o.csv")
         assert self.run_main(["shot", "--config", path, "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").splitlines()
         header = [ln for ln in lines if ln.startswith("yield")][0]
         row = lines[lines.index(header) + 1].split(",")
         assert row[0] == format(0.25, ".17g")
@@ -718,7 +720,7 @@ class TestMain:
             ["shot", "--config", path, "--out", out, "--format", "json"]
         )
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text(encoding="utf-8"))
         assert doc["metadata"]["config_digest"]
         assert doc["metadata"]["tolerances"]["tdse_rel_tol"] == 1e-10
         assert doc["rows"][0]["yield"] == pytest.approx(0.25, rel=1e-12)
@@ -736,7 +738,8 @@ class TestMain:
         )
         assert code == 0
         body = [
-            ln for ln in open(out).read().splitlines() if not ln.startswith("#")
+            ln for ln in Path(out).read_text(encoding="utf-8").splitlines()
+            if not ln.startswith("#")
         ]
         assert body[0].split(",")[0] == "value"
         assert len(body) == 10  # header + 9 grid points
@@ -888,6 +891,21 @@ class TestExitCodes:
         assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert "invalid configuration" in err and f"{named}: unknown key 'extra'" in err
+
+    @pytest.mark.parametrize("value", [[], 0, False, ""], ids=repr)
+    @pytest.mark.parametrize("key", ["tolerances", "output"])
+    def test_section_that_is_not_an_object_is_listed(self, tmp_path, capsys, key, value):
+        # only an absent key or null means the defaults
+        cfg = minimal_config(**{key: value})
+        assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and f"{key}: need an object" in err
+
+    @pytest.mark.parametrize("key", ["tolerances", "output"])
+    def test_null_section_takes_the_defaults(self, tmp_path, capsys, key):
+        cfg = minimal_config(**{key: None})
+        assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
+        assert "OK" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "run,key",

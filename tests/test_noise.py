@@ -429,7 +429,8 @@ class TestFrequencyNoiseKernel:
 
 def direct_pair_sum(kernel, n, nodes):
     """The level sum over an explicit grid of all (tau, tau') delay pairs."""
-    x, weighted = _delay_grid(n, nodes)
+    x, weights, _ = _delay_grid(n, (nodes,))
+    weighted = weights.ravel()
     grids = np.meshgrid(*([x] * (n - 1)), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     m = pts.shape[0]

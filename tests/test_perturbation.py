@@ -36,7 +36,6 @@ from laddernoise.perturbation import (
     _delay_frequencies,
     _delay_grid,
     _delay_integral,
-    _paired_delay_grid,
     _truncation_radius,
 )
 from laddernoise.quadrature import _PANEL_NODES, _gauss_legendre, _panel_rule
@@ -271,9 +270,18 @@ class TestPanelIntegral:
             ((1, 2), 8, [((0, 1, 0, 1), (1, 2, 0, 2))]),
         ],
     )
-    def test_batches_pack_blocks_end_to_end(self, monkeypatch, counts, block, batches):
-        monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", block)
-        assert quadrature_module._panel_batches(counts) == batches
+    def test_batches_pack_blocks_end_to_end(self, counts, block, batches):
+        plan = quadrature_module._panel_batches(counts, block)
+        assert [batch for batch, _, _ in plan] == batches
+        for batch, spans, starts in plan:
+            lo = 0
+            for (i, panels, first, stop), span in zip(batch, spans):
+                # each block's columns follow the last one's, and a later
+                # batch goes on with its count while panels are left
+                assert span == (i, lo, lo + stop - first, first, stop < panels)
+                lo += stop - first
+            assert starts.tolist() == [lo for _, lo, _, _, _ in spans]
+            assert not starts.flags.writeable
 
     @pytest.mark.parametrize("panels", [1, 40])
     @pytest.mark.parametrize("deltas", [(1.0, -1.0), (-1.0, -1.0, -1.0)], ids=str)
@@ -301,14 +309,13 @@ class TestPanelIntegral:
 
         monkeypatch.setattr(perturbation_module, "_panel_batch", spy)
         patched = perturbation_module._panel_integral(env, deltas, counts)
-        assert swept == quadrature_module._panel_batches(counts)
+        assert swept == [batch for batch, _, _ in quadrature_module._panel_batches(counts, 2)]
         # 6 + 12 blocks of two panels, each its own batch
         assert len(swept) == 18
         assert patched == pytest.approx(unpatched, rel=1e-13)
 
-    def test_cached_grids_are_read_only(self, monkeypatch):
-        monkeypatch.setattr(quadrature_module, "_BLOCK_PANELS", 8)
-        for batch in quadrature_module._panel_batches((6, 12)):
+    def test_cached_grids_are_read_only(self):
+        for batch, _, _ in quadrature_module._panel_batches((6, 12), 8):
             sh, times, block = perturbation_module._panel_batch(GaussianEnvelope(0.8), batch)
             size = sum(stop - first for _, _, first, stop in batch)
             assert sh.shape == (_PANEL_NODES, size)
@@ -526,10 +533,10 @@ def _delay_deltas(n, zero_frequency):
 
 def _direct_tensor_sum(n, nodes, freq):
     """The delay sum over every point of the tensor grid, with no factorisation."""
-    x, weighted = _delay_grid(n, nodes)
+    x, weights, _ = _delay_grid(n, (nodes,))
     grids = np.meshgrid(*([x] * (n - 1)), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    return complex(np.exp(-1j * (pts @ np.asarray(freq))) @ weighted)
+    return complex(np.exp(-1j * (pts @ np.asarray(freq))) @ weights.ravel())
 
 
 def _rate_deltas(n, rate):
@@ -542,18 +549,22 @@ def _rate_deltas(n, rate):
 
 class TestDelayIntegral:
     @pytest.mark.parametrize(
-        "n,levels", [(n, ladder[:2]) for n, ladder in _NODE_LADDERS.items()]
+        "n,levels", [(n, ladder[:3]) for n, ladder in _NODE_LADDERS.items()]
     )
     @pytest.mark.parametrize("zero_frequency", [False, True])
     def test_each_level_matches_direct_tensor_sum(self, n, levels, zero_frequency):
         frequencies = _delay_frequencies(Detunings(_delay_deltas(n, zero_frequency)))
         assert (0.0 in frequencies) == zero_frequency
         freq = tuple(f / (n * GaussianEnvelope(1.0).sigma) for f in frequencies)
-        paired = _delay_integral(n, levels, freq)
+        # the first two levels as a refinement asks for them, then each level
+        # alone, the third as a refinement asks for it after the pair
+        paired = _delay_integral(n, levels[:2], freq)
         assert len(paired) == 2
         for nodes, value in zip(levels, paired):
             direct = _direct_tensor_sum(n, nodes, freq)
             assert abs(value - direct) <= 1e-12 * abs(direct)
+        for nodes in levels:
+            direct = _direct_tensor_sum(n, nodes, freq)
             (alone,) = _delay_integral(n, (nodes,), freq)
             assert abs(alone - direct) <= 1e-12 * abs(direct)
 
@@ -636,51 +647,63 @@ class TestDelayGrid:
     @pytest.mark.parametrize("n", sorted(_NODE_LADDERS))
     def test_caches_nodes_and_weights_only(self, n):
         nodes = _NODE_LADDERS[n][0]
-        # nodes + nodes^(N-1) floats: no point array beside the weights
-        cached = _delay_grid(n, nodes)
-        assert [a.shape for a in cached] == [(nodes,), (nodes ** (n - 1),)]
+        # nodes + nodes^(N-1) floats: no point array beside the weights,
+        # which are the level's own tensor with the last delay on the columns
+        x, weights, starts = _delay_grid(n, (nodes,))
+        assert x.shape == (nodes,)
+        assert weights.shape == ((nodes,) if n == 2 else (nodes ** (n - 2), nodes))
+        assert weights.flags.c_contiguous
+        assert starts.tolist() == [0]
+        assert not any(a.flags.writeable for a in (x, weights, starts))
 
     @pytest.mark.parametrize("n,levels", [(2, (64, 128)), (3, (32, 64)), (3, (64, 128))])
     def test_paired_grid_is_read_only_and_block_diagonal(self, n, levels):
-        x, weights, starts = _paired_delay_grid(n, levels)
+        x, weights, starts = _delay_grid(n, levels)
         assert not any(a.flags.writeable for a in (x, weights, starts))
         assert starts.tolist() == [0, levels[0]]
         for lo, nodes in zip(starts, levels):
-            own_x, own_w = _delay_grid(n, nodes)
+            own_x, own_w, _ = _delay_grid(n, (nodes,))
             assert np.array_equal(x[lo:lo + nodes], own_x)
             block = weights[lo:lo + nodes] if n == 2 else weights[lo:lo + nodes, lo:lo + nodes]
-            assert np.array_equal(block.ravel(), own_w)
+            assert np.array_equal(block, own_w)
         if n == 3:
             first = levels[0]
             assert not weights[:first, first:].any() and not weights[first:, :first].any()
 
     def test_paired_grid_is_built_for_the_first_two_levels_only(self, monkeypatch):
-        built = []
+        asked = []
+        real = perturbation_module._delay_grid
 
         def spy(n, levels):
-            built.append((n, levels))
-            return _paired_delay_grid(n, levels)
+            asked.append((n, levels))
+            return real(n, levels)
 
-        monkeypatch.setattr(perturbation_module, "_paired_delay_grid", spy)
+        monkeypatch.setattr(perturbation_module, "_delay_grid", spy)
         env = GaussianEnvelope(1.0)
         for n, rate in [(2, 0.3), (2, 9.5), (3, 0.3), (3, 5.0), (3, 9.5), (4, 0.3)]:
             scaled_amplitude_gaussian(Detunings(_rate_deltas(n, rate)), env, tol=1e-10)
-        assert built and set(built) <= {(n, _NODE_LADDERS[n][:2]) for n in (2, 3)}
+        paired = {(n, levels) for n, levels in asked if len(levels) > 1}
+        assert paired == {(n, _NODE_LADDERS[n][:2]) for n in (2, 3)}
+        # four rungs ask for one level at a time, never a multi-level layout
+        assert all(len(levels) == 1 for n, levels in asked if n == 4)
+        assert any(n == 4 for n, _ in asked)
 
-    def test_paired_cache_is_bounded(self):
+    def test_cache_is_bounded(self):
         # the pair each ladder starts with, the largest N = 3 at 32 + 64
-        largest = max(sum(a.nbytes for a in _paired_delay_grid(n, _NODE_LADDERS[n][:2]))
+        largest = max(sum(a.nbytes for a in _delay_grid(n, _NODE_LADDERS[n][:2]))
                       for n in (2, 3))
         assert largest <= 96 * 96 * 8 + 96 * 8 + 2 * 8
-        assert perturbation_module._CACHED_LEVEL_PAIRS * largest <= 2**20 / 2
-        for k in range(8):
-            _paired_delay_grid(2, (8 + k, 16 + k))
-        info = _paired_delay_grid.cache_info()
-        assert info.currsize == info.maxsize == perturbation_module._CACHED_LEVEL_PAIRS
+        # a lone level holds nodes^(N-1) floats; the largest, the top of
+        # the N = 3 ladder, is 32 MiB
+        assert max(ladder[-1] ** (n - 1) * 8 for n, ladder in _NODE_LADDERS.items()) <= 2**25
+        assert _delay_grid.cache_info().maxsize == 16
+        for k in range(32):
+            _delay_grid(2, (8 + k, 16 + k))
+        assert _delay_grid.cache_info().currsize == 16
 
     @pytest.mark.parametrize("nodes", [256, 512])
     def test_lone_level_reuses_the_grid_without_a_copy(self, nodes):
-        weighted = _delay_grid(3, nodes)[1]
+        weighted = _delay_grid(3, (nodes,))[1]
         freq = (0.4, -0.7)
         _delay_integral(3, (nodes,), freq)
         tracemalloc.start()

@@ -169,20 +169,19 @@ def test_acceptance_6_propagation_pass_count(monkeypatch):
 
 def test_cli_import_builds_no_panel_tables():
     # the panel rule, the table of powers of |S|, the time quadrature's
-    # batches and batch plans and the delay grids, alone and paired, are
-    # built at first use, so that a run's set-up time does not pay for them
+    # batch plans and batches and the delay-grid layouts are built at first
+    # use, so that a run's set-up time does not pay for them
     code = (
         "import laddernoise.cli, laddernoise.quadrature as q, laddernoise.tdse as t, "
         "laddernoise.perturbation as p; "
         "print(*(f.cache_info().currsize for f in (q._panel_rule, t._power_norms, "
-        "p._stacked_rule, p._panel_batch, p._batch_plan, p._delay_grid, "
-        "p._paired_delay_grid)))"
+        "q._panel_batches, p._stacked_rule, p._panel_batch, p._delay_grid)))"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"] * 7
+    assert proc.stdout.split() == ["0"] * 6
 
 
 # run in a fresh interpreter: every public function of numpy.linalg raises,
