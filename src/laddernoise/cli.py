@@ -160,6 +160,15 @@ def _integer(value, least: int | None = None) -> int:
     return value
 
 
+def _sample_count(value, components: int) -> int:
+    """A count of at least 2 shots whose (samples, components, 3) offset table numpy can index."""
+    samples = _integer(value, 2)
+    if samples * components * 3 * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise ValueError(f"{samples} samples of {components} components exceed the largest "
+                         "offset table numpy can index")
+    return samples
+
+
 def _known(node, keys) -> dict:
     """The object ``node``, refused if it holds a key outside ``keys``: nothing would read it."""
     if not isinstance(node, dict):
@@ -335,6 +344,7 @@ def _build_run(raw, system, fld, noise, evaluator, tolerances, problems) -> RunS
     if noise is not None and noise.active and sampled and "seed" not in run:
         problems.append("run.seed: required whenever noise is active")
     seed = _guard(problems, "run.seed", lambda v: check_seed(_integer(v)), run.get("seed", 0))
+    components = len(fld.components) if fld is not None else 1
     if rtype == "scan":
         param = run.get("parameter")
         before = len(problems)
@@ -380,7 +390,7 @@ def _build_run(raw, system, fld, noise, evaluator, tolerances, problems) -> RunS
             points.append((value, *point))
         return RunSpec(rtype, seed, points=tuple(points))
     if rtype == "ensemble":
-        samples = _guard(problems, "run.samples", _integer, run.get("samples"), 2)
+        samples = _guard(problems, "run.samples", _sample_count, run.get("samples"), components)
         return RunSpec(rtype, seed, samples=samples)
     if rtype == "optimize":
         init = _guard(problems, "run.init", _floats, run.get("init"))
@@ -391,6 +401,8 @@ def _build_run(raw, system, fld, noise, evaluator, tolerances, problems) -> RunS
             problems, "run.max_evals", _integer, run.get("max_evals", DEFAULT_MAX_EVALS), least
         )
         model = _guard(problems, "run.observable", ObservableModel, observable)
+        mc_samples = _guard(problems, "run.mc_samples", _sample_count,
+                            run.get("mc_samples", DEFAULT_MC_SAMPLES), components)
         objective = _guard(
             problems,
             "run",
@@ -398,7 +410,7 @@ def _build_run(raw, system, fld, noise, evaluator, tolerances, problems) -> RunS
                 _number(run["target_yield"]),
                 _number(run["fluence_weight"]),
                 model,
-                mc_samples=_integer(run.get("mc_samples", DEFAULT_MC_SAMPLES), 2),
+                mc_samples=mc_samples,
                 seed=seed,
                 tolerances=tolerances,
                 evaluator=evaluator,
@@ -680,7 +692,7 @@ def main(argv=None) -> int:
 
     out_path = args.out or config.output_path
     out_format = args.fmt or config.output_format
-    if out_path is None:
+    if not out_path:
         print("no output path: pass --out or set output.path", file=sys.stderr)
         return 2
     unwritable = _unwritable(out_path)

@@ -78,8 +78,10 @@ class PulseComponent:
     def __post_init__(self):
         if not math.isfinite(self.amplitude) or self.amplitude < 0.0:
             raise ValueError("amplitude must be finite and nonnegative")
-        if not (self.frequency > 0.0):
-            raise ValueError("frequency must be positive")
+        if not math.isfinite(self.phase):
+            raise ValueError("phase must be finite")
+        if not 0.0 < self.frequency < math.inf:
+            raise ValueError("frequency must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,8 @@ class GaussianEnvelope:
     tau: float
 
     def __post_init__(self):
-        if not (self.tau > 0.0):
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
 
     @property
     def sigma(self) -> float:
@@ -137,8 +139,8 @@ class RectangularEnvelope:
     duration: float
 
     def __post_init__(self):
-        if not (self.duration > 0.0):
-            raise ValueError("duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
 
     @property
     def effective_duration(self) -> float:

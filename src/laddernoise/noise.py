@@ -43,8 +43,8 @@ class UniformNoise:
     half_width: float
 
     def __post_init__(self):
-        if self.half_width < 0.0:
-            raise ValueError("half_width must be nonnegative")
+        if not 0.0 <= self.half_width < math.inf:
+            raise ValueError("half_width must be nonnegative and finite")
 
     @property
     def variance(self) -> float:
@@ -61,8 +61,8 @@ class GaussianNoise:
     std: float
 
     def __post_init__(self):
-        if self.std < 0.0:
-            raise ValueError("std must be nonnegative")
+        if not 0.0 <= self.std < math.inf:
+            raise ValueError("std must be nonnegative and finite")
 
     @property
     def variance(self) -> float:

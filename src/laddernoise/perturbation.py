@@ -45,7 +45,7 @@ from .model import (
 )
 from . import quadrature
 from .quadrature import (
-    _gauss_legendre, _panel_batches, _panel_levels, _panel_rule, _refine,
+    _gauss_legendre, _panel_batches, _panel_layout, _panel_levels, _panel_rule, _refine,
 )
 
 # Oscillation bound for the Gaussian closed form: beyond |D_k|/(N sigma) of
@@ -137,12 +137,9 @@ _CACHED_BATCHES = 3
 def _panel_batch(env, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scaled samples, node offsets and midpoints, and block index of the panels of ``batch``.
 
-    ``batch`` holds blocks ``(i, panels, first, stop)`` of
-    :func:`laddernoise.quadrature._panel_batches`: panels ``first`` to
-    ``stop - 1`` of ``env``'s support cut into ``panels``, side by side.  A
-    node's time is ``m_p + h_b x_j``: ``m_p`` the midpoint of panel p,
-    ``h_b`` the half-width of the panels of its block b and ``x_j`` the rule
-    node.  Returned are
+    ``batch`` holds blocks of :func:`laddernoise.quadrature._panel_batches`
+    on ``env``'s support, laid out in time by
+    :func:`laddernoise.quadrature._panel_layout`.  Returned are
 
     * ``sh = h_b s(t)``, the (node, panel) envelope samples scaled by their
       panel's half-width;
@@ -152,12 +149,7 @@ def _panel_batch(env, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     All are read-only, because the cache hands the same ones to every caller.
     """
-    t0, t1 = env.support()
-    halves = np.array([(t1 - t0) / (2 * panels) for _, panels, _, _ in batch])
-    block = np.repeat(np.arange(len(batch)), [stop - first for _, _, first, stop in batch])
-    mid = np.hstack([t0 + h * (2 * np.arange(first, stop) + 1)
-                     for h, (_, _, first, stop) in zip(halves, batch)])
-    offsets = _panel_rule()[0][:, None] * halves
+    offsets, mid, block, halves = _panel_layout(*env.support(), batch)
     sh = env.value(offsets.take(block, axis=1) + mid) * halves[block]
     times = np.concatenate([offsets.ravel(), mid])
     for a in (sh, times, block):

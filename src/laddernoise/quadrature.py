@@ -1,15 +1,14 @@
-"""Gauss-Legendre rules, the panel rule, its blocks and the one refinement driver.
+"""Gauss-Legendre rules, the panel grid and the one refinement driver.
 
 Shared by the time-ordered quadrature (:mod:`laddernoise.perturbation`), the
 delay integrals and the exact propagator (:mod:`laddernoise.tdse`), so that
 the propagator borrows a numerical rule, not an approximation it checks.
 Every Gauss-Legendre rule in the package comes from :func:`_gauss_legendre`.
-It owns the block size: both panel integrators sweep their panels in the
-same blocks, so one number bounds the memory of either at any panel count.
-The time-ordered quadrature packs the blocks of several panel counts into
-batches of at most that size, so small counts are swept together; the one
-cached plan of those batches, with where each block lies in its batch, is
-:func:`_panel_batches`.
+Both panel integrators read one panel grid from here: the level ladder of
+:func:`_panel_levels`; the one cached plan of :func:`_panel_batches`, which
+cuts each count into blocks of at most ``_BLOCK_PANELS`` panels and packs
+them into batches, so one number bounds the memory of either; and the node
+times of :func:`_panel_layout`.
 """
 
 from __future__ import annotations
@@ -98,12 +97,6 @@ def _panel_levels(nodes: float) -> list[int]:
     return levels
 
 
-def _panel_blocks(panels: int) -> list[tuple[int, int]]:
-    """First and end panel of each block of at most ``_BLOCK_PANELS`` panels."""
-    return [(first, min(first + _BLOCK_PANELS, panels))
-            for first in range(0, panels, _BLOCK_PANELS)]
-
-
 # the plans of 16 counts tuples are kept; a refinement asks for two or three
 @lru_cache(maxsize=16)
 def _panel_batches(counts: tuple[int, ...], block_panels: int) -> tuple:
@@ -139,10 +132,20 @@ def _panel_batches(counts: tuple[int, ...], block_panels: int) -> tuple:
     return tuple(plan)
 
 
-def _panel_times(t0: float, half: float, first: int, stop: int) -> np.ndarray:
-    """(node, panel) times of panels ``first`` to ``stop - 1``, ``2 half`` wide, from ``t0``."""
-    mid = t0 + half * (2 * np.arange(first, stop) + 1)
-    return half * _panel_rule()[0][:, None] + mid
+def _panel_layout(t0: float, t1: float, batch) -> tuple:
+    """Node offsets ``h_b x_j`` (node, block), panel midpoints and block indices, half-widths.
+
+    ``batch`` holds blocks ``(i, panels, first, stop)`` of :func:`_panel_batches`:
+    panels ``first`` to ``stop - 1`` of [t0, t1] cut into ``panels``, side by
+    side.  Node j of panel p in block b lies at ``m_p + h_b x_j``, ``m_p`` the
+    panel's midpoint, ``h_b`` its half-width and ``x_j`` the rule node.
+    """
+    halves = np.array([(t1 - t0) / (2 * panels) for _, panels, _, _ in batch])
+    block = np.arange(len(batch)).repeat([stop - first for _, _, first, stop in batch])
+    # 2k + 1 for panels k = first .. stop - 1, as one arange
+    mid = np.concatenate([t0 + h * np.arange(2 * first + 1, 2 * stop, 2)
+                          for h, (_, _, first, stop) in zip(halves.tolist(), batch)])
+    return _panel_rule()[0][:, None] * halves, mid, block, halves
 
 
 def _each_level(evaluate):

@@ -29,10 +29,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import quadrature
 from .model import ControlField, LadderSystem, transition_frequencies
 from .quadrature import (
-    _MAX_NODES, _PANEL_NODES, _each_level, _panel_blocks, _panel_levels, _panel_rule,
-    _panel_times, _refine,
+    _PANEL_NODES, _each_level, _panel_batches, _panel_layout, _panel_levels, _panel_rule, _refine,
 )
 
 # the Picard passes stop once their error bound, relative to the solution,
@@ -43,7 +43,7 @@ _PICARD_EPS = 2.0**-54
 # 20th power, 19 passes, where the geometric bound q^(k+1) needs 53
 _PICARD_POWERS = 20
 # a level's relative error in the term of the state that carries the panel
-# rule's stage defect D twice, in units of D^2; see _start_panels
+# rule's stage defect D twice, in units of D^2; see _start_levels
 _DEFECT_GAIN = 0.05
 
 
@@ -135,12 +135,12 @@ def _stage_defect(x: float) -> float:
     return math.sqrt(float((error.real ** 2 + error.imag ** 2).max()))
 
 
-def _start_panels(nodes: float, phase: float, rungs: int, area: float,
-                  spec: PropagationSpec) -> int:
-    """Panel count of the first level whose comparison with the next can pass.
+def _start_levels(levels: list[int], phase: float, rungs: int, area: float,
+                  spec: PropagationSpec) -> list[int]:
+    """``levels`` from the first level whose comparison with the next can pass.
 
-    Doubles the start rule's count while two levels stay under the node cap
-    and an a-priori estimate of the level's error exceeds the comparison's
+    Drops the first of the panel counts ``levels`` while more than two are
+    left and an a-priori estimate of its error exceeds the comparison's
     threshold max(rel_tol |c|, abs_tol) of :func:`_refine`.  First-order
     terms are Gauss quadratures of A; higher orders also integrate A through
     the stage values h S A Y, off on the fastest phase by the stage defect
@@ -156,16 +156,15 @@ def _start_panels(nodes: float, phase: float, rungs: int, area: float,
     estimate that errs high only starts one level finer: the result still
     comes from two levels that agree.
     """
-    panels = max(1, math.ceil(min(nodes, _MAX_NODES) / _PANEL_NODES))
     order = max(rungs, 2)
     # a product, not a power, so that a huge area gives inf instead of raising
     change = math.prod(area / k for k in range(1, order + 1))
     size = change if rungs > 1 else 1.0
     threshold = max(spec.rel_tol * size, spec.abs_tol)
-    while (4 * _PANEL_NODES * panels <= _MAX_NODES
-           and _DEFECT_GAIN * _stage_defect(phase / panels) ** 2 * change > threshold):
-        panels *= 2
-    return panels
+    while (len(levels) > 2
+           and _DEFECT_GAIN * _stage_defect(phase / levels[0]) ** 2 * change > threshold):
+        levels = levels[1:]
+    return levels
 
 
 def _panel_propagators(low, half: float, passes: int) -> np.ndarray:
@@ -219,20 +218,21 @@ def propagate(
 
     Starts from c_0 = 1 at ``spec.t_start`` and integrates only where the
     window overlaps ``field.envelope.support()``: the field vanishes outside,
-    so the state does not move there.  The overlap is cut into equal panels,
-    at first enough for 4 nodes per period of the fastest phase of A and for
-    h ||S|| max||A|| <= 1/2, so that the Picard iteration contracts, then
-    doubled while an a-priori error estimate says that level cannot agree
-    with the next (:func:`_start_panels`).  Each level's pass count is the
-    fewest whose bound on the powers of |S| (see :func:`_picard_passes`) is
-    below ``_PICARD_EPS``, at most 19.  The
-    panel count doubles, up to 2^23 + 1 nodes, until two successive states
-    agree in every coefficient to ``rel_tol`` (relative, with the absolute
-    floor ``abs_tol``).  Running out of panel counts raises
-    :class:`QuadratureConvergenceError`; a start that leaves fewer than two
-    counts under the cap raises before any panel is built.  Panels are
-    evaluated in the blocks of :mod:`laddernoise.quadrature`, each multiplied
-    into the state before the next is built.
+    so the state does not move there.  The overlap is cut into equal panels
+    on the level ladder of :func:`laddernoise.quadrature._panel_levels`, at
+    first enough for 4 nodes per period of the fastest phase of A and for
+    h ||S|| max||A|| <= 1/2, so that the Picard iteration contracts, less the
+    first levels that an a-priori error estimate says cannot agree with the
+    next (:func:`_start_levels`).  Each level's pass count is the fewest whose
+    bound on the powers of |S| (see :func:`_picard_passes`) is below
+    ``_PICARD_EPS``, at most 19.  The panel count doubles, up to 2^23 + 1
+    nodes, until two successive states agree in every coefficient to
+    ``rel_tol`` (relative, with the absolute floor ``abs_tol``).  Running out
+    of levels raises :class:`QuadratureConvergenceError`; a start that leaves
+    fewer than two levels under the cap raises before any panel is built.
+    Panels are evaluated in the plan and at the node times of
+    :mod:`laddernoise.quadrature` that the time-ordered quadrature reads, a
+    block at a time, each multiplied into the state before the next is built.
     """
     if spec is None:
         spec = default_propagation_spec(field)
@@ -253,7 +253,8 @@ def propagate(
     nodes = (t1 - t0) * max(4.0 * fastest / (2.0 * math.pi), _PANEL_NODES * rate)
     area = (mu * max(c.amplitude for c in field.components)
             * min(field.envelope.effective_duration, t1 - t0))
-    panels = _start_panels(nodes, fastest * (t1 - t0) / 2.0, len(mus), area, spec)
+    levels = _start_levels(_panel_levels(nodes), fastest * (t1 - t0) / 2.0, len(mus), area,
+                           spec)
 
     def evaluate(panels: int) -> tuple[complex, ...]:
         half = (t1 - t0) / (2 * panels)
@@ -261,13 +262,14 @@ def propagate(
         # by testing the iterates
         passes = _picard_passes(half * rate)
         state = start
-        for first, stop in _panel_blocks(panels):
-            t = _panel_times(t0, half, first, stop)
+        for batch, _, _ in _panel_batches((panels,), quadrature._BLOCK_PANELS):
+            offsets, mid, _, _ = _panel_layout(t0, t1, batch)
+            t = offsets + mid
             low = 1j * field.value(t) * mus * np.exp(1j * wbar * t)
             for u in np.moveaxis(_panel_propagators(low, half, passes), -1, 0):
                 state = u @ state
         return tuple(state.tolist())
 
-    coeffs = _refine(_panel_levels(_PANEL_NODES * panels), _each_level(evaluate),
-                     spec.rel_tol, spec.abs_tol, "collocation propagator")
+    coeffs = _refine(levels, _each_level(evaluate), spec.rel_tol, spec.abs_tol,
+                     "collocation propagator")
     return StateCoefficients(coeffs, spec.t_end)

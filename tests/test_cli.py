@@ -644,6 +644,22 @@ class TestMain:
         assert "cannot write the output" in capsys.readouterr().err
         assert shots == []  # refused before the run
 
+    @pytest.mark.parametrize(
+        "config_path,flag",
+        [("", []), ("", ["--out", ""]), (None, ["--out", ""])],
+        ids=["config", "both", "flag"],
+    )
+    def test_empty_output_path_exits_before_the_run(
+        self, tmp_path, capsys, monkeypatch, config_path, flag
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli_module, "run_experiment", refuse)
+        path = write_config(tmp_path, minimal_config(output={"path": config_path}))
+        assert self.run_main(["shot", "--config", path, *flag]) == 2
+        assert "no output path" in capsys.readouterr().err
+
     def test_optimizer_non_convergence_exit_code(self, tmp_path, capsys):
         cfg = minimal_config(
             run={
@@ -1088,6 +1104,9 @@ class TestExitCodes:
             ({"type": "shot", "seed": 2**64}, "run.seed"),
             (dict(OPTIMIZE_RUN, max_evals=2), "run.max_evals"),
             (dict(OPTIMIZE_RUN, observable="mc", max_evals=0), "run.max_evals"),
+            # past the largest (samples, M, 3) offset table numpy can index
+            ({"type": "ensemble", "samples": 2**70, "seed": 1}, "run.samples"),
+            (dict(OPTIMIZE_RUN, observable="mc", mc_samples=2**70), "run.mc_samples"),
         ],
     )
     def test_out_of_range_run_value_is_listed(self, tmp_path, capsys, run, named):

@@ -11,9 +11,11 @@ from laddernoise import (
     ControlField,
     Detunings,
     GaussianEnvelope,
+    GaussianNoise,
     LadderSystem,
     PulseComponent,
     RectangularEnvelope,
+    UniformNoise,
     detunings_for,
     transition_frequencies,
 )
@@ -51,6 +53,24 @@ class TestLadderSystem:
     def test_rejects_wrong_dipole_count(self):
         with pytest.raises(ValueError, match="one dipole per"):
             LadderSystem((0, 1, 2), (1,))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize(
+    "build",
+    [
+        UniformNoise,
+        GaussianNoise,
+        GaussianEnvelope,
+        RectangularEnvelope,
+        lambda v: PulseComponent(1.0, v, 1.0),
+        lambda v: PulseComponent(1.0, 0.0, v),
+    ],
+    ids=["uniform-width", "gaussian-std", "tau", "duration", "phase", "frequency"],
+)
+def test_non_finite_parameter_is_refused(build, value):
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
 
 
 class TestEnvelopes:

@@ -283,6 +283,24 @@ class TestPanelIntegral:
             assert starts.tolist() == [lo for _, lo, _, _, _ in spans]
             assert not starts.flags.writeable
 
+    @pytest.mark.parametrize("panels,block", [(18, 4096), (36, 4096), (11, 4), (8, 2)])
+    def test_one_count_layout_gives_the_panel_times(self, panels, block):
+        # the node times the propagator reads: a one-count plan is one block
+        # to a batch, and each block's times follow the panel rule exactly
+        t0, t1 = -2.5, 3.1
+        x = _panel_rule()[0]
+        half = (t1 - t0) / (2 * panels)
+        plan = quadrature_module._panel_batches((panels,), block)
+        assert [batch for batch, _, _ in plan] == [
+            ((0, panels, first, min(first + block, panels)),) for first in range(0, panels, block)
+        ]
+        for batch, _, _ in plan:
+            ((_, _, first, stop),) = batch
+            offsets, mid, index, halves = quadrature_module._panel_layout(t0, t1, batch)
+            times = half * x[:, None] + (t0 + half * (2 * np.arange(first, stop) + 1))
+            assert np.array_equal(offsets + mid, times)
+            assert index.tolist() == [0] * (stop - first) and halves.tolist() == [half]
+
     @pytest.mark.parametrize("panels", [1, 40])
     @pytest.mark.parametrize("deltas", [(1.0, -1.0), (-1.0, -1.0, -1.0)], ids=str)
     @pytest.mark.parametrize(

@@ -417,4 +417,5 @@ class TestStartLevel:
         # a start whose doubling would leave a single level under the cap is kept
         cap = quadrature_module._MAX_NODES // quadrature_module._PANEL_NODES
         spec = PropagationSpec(0.0, 1.0, 1e-12, 1e-14)
-        assert tdse_module._start_panels(16.0 * cap / 2, 1e9, 2, 1.0, spec) == cap // 2
+        levels = quadrature_module._panel_levels(16.0 * cap / 2)
+        assert tdse_module._start_levels(levels, 1e9, 2, 1.0, spec) == [cap // 2, cap]

@@ -1,8 +1,10 @@
 """The benchmark tracer wraps every binding it names and counts what the
 benchmark expects; the panel integrators hold one block at a time; the
 propagator's Picard pass count and its lazy tables stay where they are; runs
-need neither numpy's polynomial package nor LAPACK; the README's code runs."""
+need neither numpy's polynomial package nor LAPACK; the README's code runs;
+no module imports a name it never uses."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -235,3 +237,49 @@ def test_readme_quick_start_runs():
     stats = namespace["stats"]
     # uniform half-width 0.3 on unit amplitudes lifts the mean by (1 + 0.03)^2
     assert abs(stats.mean - 0.25 * 1.03**2) < 5 * stats.std_error
+
+
+def unused_imports(source):
+    """The names ``source`` imports and never reads, but for ``# noqa: F401`` lines.
+
+    A name read anywhere in the module counts, and so does one listed in
+    ``__all__``, which re-exports it.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_are_caught():
+    source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(tau)\n"
+    assert unused_imports(source) == [(1, "os"), (3, "pi")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = os.path.join(ROOT, "src", "laddernoise")
+    found = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                unused = unused_imports(fh.read())
+            if unused:
+                found[name] = unused
+    assert found == {}
