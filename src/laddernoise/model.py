@@ -48,10 +48,12 @@ class LadderSystem:
             raise ValueError("ladder needs at least two levels")
         if len(self.dipoles) != len(self.energies) - 1:
             raise ValueError("need exactly one dipole per adjacent level pair")
+        if not all(map(math.isfinite, self.energies)):
+            raise ValueError("energies must be finite")
         if any(b <= a for a, b in zip(self.energies, self.energies[1:])):
             raise ValueError("energies must be strictly increasing")
-        if any(m == 0.0 for m in self.dipoles):
-            raise ValueError("dipoles must all be nonzero")
+        if not all(m != 0.0 and math.isfinite(m) for m in self.dipoles):
+            raise ValueError("dipoles must be finite and nonzero")
         # the gaps, kept off the fields so that eq, hash and repr ignore them;
         # every shot of an ensemble reads them
         e = self.energies

@@ -4,9 +4,11 @@ Each laboratory shot draws independent zero-mean offsets for the component
 amplitudes, phases, and frequencies; the observable is the ensemble average
 of the single-shot yield.  Every run reduces to :func:`single_shot`, the one
 place that dispatches on the evaluator.  :func:`draw_offsets` draws an
-ensemble once into an offset table, row i from its own counter-based stream
-keyed by (seed, i), and the reduction is a correctly rounded sum
-(``math.fsum``), so a fixed (seed, samples) gives the same bits however
+ensemble once into an offset table, row i from the counter-based Philox
+words keyed by (seed, i), one word per noisy slot, each mapped to its
+offset by a closed transform (uniform: numpy's ``uniform`` arithmetic;
+Gaussian: an inverse normal CDF), and the reduction is a correctly rounded
+sum (``math.fsum``), so a fixed (seed, samples) gives the same bits however
 often the table is reused, and in whatever order its rows are.
 """
 
@@ -50,9 +52,6 @@ class UniformNoise:
     def variance(self) -> float:
         return self.half_width**2 / 3.0
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(-self.half_width, self.half_width))
-
 
 @dataclass(frozen=True)
 class GaussianNoise:
@@ -67,9 +66,6 @@ class GaussianNoise:
     @property
     def variance(self) -> float:
         return self.std**2
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.normal(0.0, self.std))
 
 
 Distribution = UniformNoise | GaussianNoise
@@ -137,39 +133,162 @@ def check_seed(seed: int) -> int:
 
 
 def sample_stream(seed: int, sample_index: int) -> np.random.Generator:
-    """Independent counter-based stream for one ensemble sample."""
+    """numpy's Philox generator on the key (seed, sample_index) of one table row.
+
+    Its raw words are the words row ``sample_index`` of :func:`draw_offsets`
+    takes, and its ``uniform(-h, h)`` draws are that row's uniform offsets.
+    It is the tests' reference and a benchmark tracer binding;
+    :func:`draw_offsets` never calls it, so a run does not load numpy.random.
+    """
     check_seed(seed)
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, sample_index], dtype=np.uint64))
     )
 
 
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11): the round multipliers
+# and the Weyl increments of the two key words
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW = 0xFFFFFFFF
+
+# Philox blocks (rows x blocks per row) computed at a time by draw_offsets,
+# which bounds its memory beyond the table
+_CHUNK_BLOCKS = 1 << 13
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products of ``a`` and the uint64 words ``b``."""
+    b_lo, b_hi = b & _LOW, b >> 32
+    lo_lo, hi_lo = b_lo * (a & _LOW), b_lo * (a >> 32)
+    cross = (lo_lo >> 32) + (hi_lo & _LOW) + b_hi * (a & _LOW)
+    return b_hi * (a >> 32) + (hi_lo >> 32) + (cross >> 32), b * a
+
+
+def _philox_words(seed: int, rows: np.ndarray, blocks: int) -> np.ndarray:
+    """The first 4 ``blocks`` raw words of ``np.random.Philox(key=[seed, i])``, i in ``rows``.
+
+    numpy steps the 256-bit counter before each block, so block b = 1, 2, ...
+    of row i is Philox4x64-10 of the counter (b, 0, 0, 0) under the key
+    (seed, i).  ``rows`` is a uint64 array; the result has one row per entry.
+    Every uint64 operation is on arrays, which wrap silently; the seed's key
+    word is a Python int, so a numpy integer seed does not overflow.
+    """
+    key = np.repeat(rows, blocks)
+    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(rows))
+    c1 = c2 = c3 = np.zeros_like(key)
+    k0 = int(seed)
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ key, lo0
+        k0 = (k0 + _PHILOX_W[0]) % 2**64
+        key = key + _PHILOX_W[1]
+    return np.stack((c0, c1, c2, c3), axis=1).reshape(len(rows), 4 * blocks)
+
+
+# Wichura's AS241 (Appl. Statist. 37, 1988) with the coefficients of the
+# standard library's NormalDist.inv_cdf, numerator and denominator, highest
+# power first: the central branch |p - 1/2| <= 0.425 in 0.180625 - (p - 1/2)^2,
+# and the tails in r = sqrt(-log(min(p, 1 - p))), as r - 1.6 up to r = 5 and
+# as r - 5 beyond
+_AS241_CENTRE = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0),
+)
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e+0, 3.6478483247632045605e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0),
+)
+_AS241_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0),
+)
+
+
+def _polynomials(coeffs, r):
+    """Numerator and denominator of one AS241 branch at ``r``, by Horner's rule."""
+    (num, *num_rest), (den, *den_rest) = coeffs
+    for a, b in zip(num_rest, den_rest):
+        num, den = num * r + a, den * r + b
+    return num, den
+
+
+def _inverse_normal(m: np.ndarray) -> np.ndarray:
+    """Standard normal quantiles at p = (m + 1/2) 2^-53 for 53-bit integers ``m``.
+
+    p - 1/2 and min(p, 1 - p) are formed exactly from ``m``, so the map is
+    odd about m = 2^52 - 1/2 and finite at m = 0 and m = 2^53 - 1.
+    """
+    q = (m - (2**52 - 0.5)) * 2.0**-53
+    x = np.empty_like(q)
+    centre = np.abs(q) <= 0.425
+    qc = q[centre]
+    num, den = _polynomials(_AS241_CENTRE, 0.180625 - qc * qc)
+    x[centre] = qc * num / den
+    tail = ~centre
+    qt = q[tail]
+    r = np.sqrt(-np.log(0.5 - np.abs(qt)))
+    num, den = _polynomials(_AS241_NEAR, r - 1.6)
+    far_num, far_den = _polynomials(_AS241_FAR, r - 5.0)
+    x[tail] = np.copysign(np.where(r <= 5.0, num / den, far_num / far_den), qt)
+    return x
+
+
 def draw_offsets(noise: NoiseSpec, samples: int, seed: int) -> np.ndarray:
     """The (samples, M, 3) table of (amplitude, phase, frequency) shot offsets.
 
-    Row i draws from the stream of ``sample_stream(seed, i)``, component by
-    component and amplitude, phase, frequency within a component; a kind
-    without noise draws nothing and stores 0.0.  The table does not depend on
-    the field.  One Philox generator serves every row: before row i its key
-    becomes (seed, i), its counter 0 and its output buffer empty, which is
-    the state a new ``sample_stream(seed, i)`` starts in.
+    A row's slots are its kinds with noise, component by component and
+    amplitude, phase, frequency within a component; a kind without noise
+    stores 0.0.  Slot w of row i takes raw word w of
+    ``np.random.Philox(key=[seed, i])`` (:func:`_philox_words`), and its top
+    53 bits m give the offset: -h + 2h (m 2^-53), numpy's ``uniform(-h, h)``,
+    for a uniform half-width h, and std Phi^-1((m + 1/2) 2^-53) for a
+    Gaussian.  So the table does not depend on the field, and row i not on
+    ``samples``.  Rows are computed a chunk at a time, so the memory beyond
+    the table stays bounded; an offset that overflows raises
+    ``FloatingPointError``.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
     check_seed(seed)
     table = np.zeros((samples, len(noise.components), 3))
-    if not noise.active:  # nothing to draw: no stream is opened
+    slots = [
+        (3 * j + k, dist)
+        for j, cn in enumerate(noise.components)
+        for k, dist in enumerate((cn.amplitude, cn.phase, cn.frequency))
+        if dist is not None
+    ]
+    if not slots:  # nothing to draw: no word is computed
         return table
-    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bits)
-    fresh = bits.state  # counter 0, buffer_pos 4 (empty), has_uint32 0
-    for i in range(samples):
-        fresh["state"]["key"][1] = i
-        bits.state = fresh
-        for j, cn in enumerate(noise.components):
-            for k, dist in enumerate((cn.amplitude, cn.phase, cn.frequency)):
-                if dist is not None:
-                    table[i, j, k] = dist.sample(rng)
+    cols = [col for col, _ in slots]
+    uniform = [w for w, (_, dist) in enumerate(slots) if isinstance(dist, UniformNoise)]
+    normal = [w for w, (_, dist) in enumerate(slots) if isinstance(dist, GaussianNoise)]
+    half = np.array([slots[w][1].half_width for w in uniform])
+    std = np.array([slots[w][1].std for w in normal])
+    blocks = -(-len(slots) // 4)
+    step = max(1, _CHUNK_BLOCKS // blocks)
+    flat = table.reshape(samples, -1)
+    with np.errstate(over="raise"):
+        for lo in range(0, samples, step):
+            rows = np.arange(lo, min(lo + step, samples), dtype=np.uint64)
+            m = _philox_words(seed, rows, blocks)[:, : len(slots)] >> 11
+            values = np.empty(m.shape)
+            values[:, uniform] = -half + (2.0 * half) * (m[:, uniform] * 2.0**-53)
+            values[:, normal] = std * _inverse_normal(m[:, normal])
+            flat[lo : lo + len(rows), cols] = values
     return table
 
 
@@ -343,8 +462,8 @@ class FreqNoiseKernel:
     sigma: float
 
     def __post_init__(self):
-        if not all(dk >= 0.0 for dk in self.d):
-            raise ValueError("noise strengths d_k must be nonnegative")
+        if not all(0.0 <= dk < math.inf for dk in self.d):
+            raise ValueError("noise strengths d_k must be nonnegative and finite")
         if len(self.d) != len(self.delta_bar):
             raise ValueError("d and delta_bar must have equal length")
 

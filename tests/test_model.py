@@ -54,6 +54,22 @@ class TestLadderSystem:
         with pytest.raises(ValueError, match="one dipole per"):
             LadderSystem((0, 1, 2), (1,))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda v: LadderSystem((0.0, v, 3.0), (1.0, 1.0)), "energies must be finite"),
+            (lambda v: LadderSystem((v, 1.0, 3.0), (1.0, 1.0)), "energies must be finite"),
+            (lambda v: LadderSystem((0.0, 1.0, 3.0), (1.0, v)), "dipoles must be finite"),
+        ],
+        ids=["middle-energy", "ground-energy", "dipole"],
+    )
+    def test_rejects_non_finite_values(self, build, value, message):
+        # a NaN passes the ordering test, and closed_form_amplitude then
+        # failed deep inside with "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=message):
+            build(value)
+
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
 @pytest.mark.parametrize(

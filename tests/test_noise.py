@@ -1,6 +1,7 @@
 """Shot-to-shot noise: sampling, ensembles, and analytic averages."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -69,17 +70,38 @@ class TestDistributions:
             GaussianNoise(-0.1)
 
 
+def reference_normal(m):
+    """Phi^-1((m + 1/2) 2^-53) from the standard library, exact in p.
+
+    For m < 2^52 the midpoint is a float; above it rounds (to 1.0 at the
+    top), so the upper half is the lower half mirrored.
+    """
+    if m < 2**52:
+        return NormalDist().inv_cdf((m + 0.5) * 2**-53)
+    return -NormalDist().inv_cdf((2**53 - 1 - m + 0.5) * 2**-53)
+
+
 def reference_offsets(noise, samples, seed):
-    """Per-shot draws made the way the shot loop used to make them."""
+    """Each row from numpy's own generator on the key (seed, i), one word a slot.
+
+    Uniform slots draw with its ``uniform``, Gaussian slots map its next raw
+    word by the standard library's inverse normal CDF.
+    """
     rows = []
     for i in range(samples):
         rng = sample_stream(seed, i)
         row = []
         for cn in noise.components:
-            amp = cn.amplitude.sample(rng) if cn.amplitude else 0.0
-            phase = cn.phase.sample(rng) if cn.phase else 0.0
-            freq = cn.frequency.sample(rng) if cn.frequency else 0.0
-            row.append((amp, phase, freq))
+            triple = []
+            for dist in (cn.amplitude, cn.phase, cn.frequency):
+                if isinstance(dist, UniformNoise):
+                    triple.append(rng.uniform(-dist.half_width, dist.half_width))
+                elif isinstance(dist, GaussianNoise):
+                    m = int(rng.bit_generator.random_raw()) >> 11
+                    triple.append(dist.std * reference_normal(m))
+                else:
+                    triple.append(0.0)
+            row.append(triple)
         rows.append(row)
     return np.array(rows)
 
@@ -97,15 +119,76 @@ class TestDrawOffsets:
             ComponentNoise(phase=GaussianNoise(0.7)),
         )
     )
+    # nine uniform slots, three Philox blocks a row
+    UNIFORM = NoiseSpec(
+        ComponentNoise(UniformNoise(0.1 * j), UniformNoise(3.0), UniformNoise(1e-3 * j))
+        for j in range(1, 4)
+    )
+
+    @pytest.mark.parametrize("slots", [1, 4, 5, 9])
+    @pytest.mark.parametrize("seed", [0, 17, 2**64 - 1])
+    def test_words_are_numpy_philox_words(self, seed, slots):
+        blocks = -(-slots // 4)
+        words = noise_module._philox_words(seed, np.arange(40, dtype=np.uint64), blocks)
+        expected = [
+            np.random.Philox(key=np.array([seed, i], dtype=np.uint64)).random_raw(slots)
+            for i in range(40)
+        ]
+        assert words.dtype == np.uint64 and words.shape == (40, 4 * blocks)
+        assert (words[:, :slots] == expected).all()
 
     @pytest.mark.parametrize("seed", [0, 17, 2**64 - 1])
-    def test_matches_per_shot_draws_bit_for_bit(self, seed):
+    def test_matches_the_reference_draws(self, seed):
         table = draw_offsets(self.MIXED, 64, seed)
         assert table.shape == (64, 4, 3)
-        assert table.tobytes() == reference_offsets(self.MIXED, 64, seed).tobytes()
+        reference = reference_offsets(self.MIXED, 64, seed)
+        for j, k in [(0, 0), (2, 1), (2, 2)]:  # uniform slots, bit for bit
+            assert table[:, j, k].tobytes() == reference[:, j, k].tobytes()
+        for j, k in [(0, 2), (2, 0), (3, 1)]:  # Gaussian slots
+            assert table[:, j, k] == pytest.approx(reference[:, j, k], rel=4e-16, abs=0)
         # kinds without noise draw nothing and store zeros
         assert not table[:, 1].any() and not table[:, 0, 1].any()
         assert not table[:, 3, 0].any() and not table[:, 3, 2].any()
+
+    @pytest.mark.parametrize("seed", [0, 17, 2**64 - 1])
+    def test_uniform_table_is_numpy_uniform(self, seed):
+        table = draw_offsets(self.UNIFORM, 64, seed)
+        assert table.tobytes() == reference_offsets(self.UNIFORM, 64, seed).tobytes()
+
+    def test_inverse_normal_at_the_branch_edges_and_the_ends(self):
+        # |p - 1/2| = 0.425 on either side of the centre, r = 5 in either tail
+        centre = int(0.425 * 2**53 - 0.5)
+        tail = int(math.exp(-25.0) * 2**53)
+        low = [0, 1, 2, tail - 2, tail - 1, tail, tail + 1, tail + 2]
+        low += [2**52 - centre + d for d in range(-3, 3)] + [2**52 - 2, 2**52 - 1]
+        m = low + [2**53 - 1 - v for v in low]
+        x = noise_module._inverse_normal(np.array(m, dtype=np.uint64))
+        expected = [reference_normal(v) for v in m]
+        assert np.isfinite(x).all()
+        assert x == pytest.approx(expected, rel=4e-16, abs=0)
+        # odd about the middle, exactly
+        assert (x[: len(low)] == -x[len(low):]).all()
+        q = (np.array(m, dtype=float) - (2**52 - 0.5)) * 2.0**-53
+        assert {True, False} <= set(np.abs(q) <= 0.425)
+        assert {True, False} <= set(np.sqrt(-np.log(0.5 - np.abs(q[np.abs(q) > 0.425]))) <= 5)
+
+    def test_inverse_normal_agrees_with_the_standard_library(self):
+        m = np.random.default_rng(5).integers(0, 2**53, 20_000, dtype=np.uint64)
+        x = noise_module._inverse_normal(m)
+        expected = [reference_normal(v) for v in m.tolist()]
+        assert x == pytest.approx(expected, rel=4e-16, abs=0)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_row_does_not_depend_on_the_count_or_the_chunks(self, monkeypatch, chunk):
+        whole = draw_offsets(self.MIXED, 300, 23)
+        assert draw_offsets(self.MIXED, 100, 23).tobytes() == whole[:100].tobytes()
+        monkeypatch.setattr(noise_module, "_CHUNK_BLOCKS", chunk)
+        assert draw_offsets(self.MIXED, 300, 23).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**64 - 1)], ids=repr)
+    def test_numpy_integer_seed_is_its_value(self, seed):
+        table = draw_offsets(self.MIXED, 4, seed)
+        assert table.tobytes() == draw_offsets(self.MIXED, 4, int(seed)).tobytes()
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="two samples"):
@@ -120,9 +203,9 @@ class TestDrawOffsets:
 
     def test_quiet_spec_opens_no_stream(self, monkeypatch):
         calls = []
-        real = np.random.Philox
+        real = noise_module._philox_words
         monkeypatch.setattr(
-            noise_module.np.random, "Philox", lambda *a, **k: calls.append(a) or real(*a, **k)
+            noise_module, "_philox_words", lambda *a: calls.append(a[1:]) or real(*a)
         )
         quiet = NoiseSpec.quiet(2)
         table = draw_offsets(quiet, 100, 5)
@@ -130,9 +213,22 @@ class TestDrawOffsets:
         assert table.shape == (100, 2, 3) and not table.any()
         with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
             draw_offsets(quiet, 2, -1)
-        # a noisy table opens one generator, whatever its row count
+        # a noisy table of six slots computes two Philox blocks a row
         draw_offsets(self.MIXED, 100, 5)
-        assert len(calls) == 1
+        assert [(len(rows), blocks) for rows, blocks in calls] == [(100, 2)]
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseSpec.phase_uniform((1e308,)),
+            NoiseSpec((ComponentNoise(phase=GaussianNoise(1e308)),)),
+        ],
+        ids=["uniform", "gaussian"],
+    )
+    def test_offset_past_the_float_range_raises(self, noise):
+        # like numpy's uniform, which refused a range that overflows
+        with pytest.raises(FloatingPointError, match="overflow"):
+            draw_offsets(noise, 1000, 3)
 
 
 class TestSampling:
@@ -390,6 +486,14 @@ class TestFrequencyNoiseKernel:
             FreqNoiseKernel((0.5, math.nan), (0.0, 0.0), sigma=1.0)
         with pytest.raises(ValueError, match="equal length"):
             FreqNoiseKernel((0.5, 0.5), (0.0,), sigma=1.0)
+
+    def test_refuses_infinite_strength(self):
+        # an infinite d_k used to reach the quadrature and end in a NaN
+        # kernel and a QuadratureConvergenceError
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            FreqNoiseKernel((math.inf, 0.1), (0.1, 0.2), sigma=1.0)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            frequency_noise_average(GaussianEnvelope(1.0), (math.inf, 0.1), (0.1, 0.2))
 
     def test_resonant_equal_delays_value(self):
         d = (0.7, 1.2)

@@ -21,12 +21,17 @@ import laddernoise.perturbation as perturbation_module
 import laddernoise.quadrature as quadrature_module
 import laddernoise.tdse as tdse_module
 from laddernoise import (
+    ComponentNoise,
     ControlField,
     GaussianEnvelope,
+    GaussianNoise,
     LadderSystem,
+    NoiseSpec,
     PropagationSpec,
     PulseComponent,
     RectangularEnvelope,
+    UniformNoise,
+    draw_offsets,
     propagate,
 )
 
@@ -148,6 +153,17 @@ def test_panel_integrators_hold_one_block_at_a_time(monkeypatch):
         assert eight <= 2 * one, run.__name__
 
 
+def test_offset_draw_holds_one_chunk_at_a_time():
+    # the Philox words and their offsets are computed a chunk of rows at a
+    # time, so a large table costs its own size and a few MiB more, not a
+    # multiple of it
+    noise = NoiseSpec((ComponentNoise(UniformNoise(0.1), GaussianNoise(0.2), UniformNoise(0.3)),))
+    draw_offsets(noise, 2, 0)
+    samples = 200_000
+    table_bytes = samples * 3 * 8
+    assert peak_bytes(lambda: draw_offsets(noise, samples, 0)) <= table_bytes + 3 * 2**20
+
+
 def test_acceptance_6_propagation_pass_count(monkeypatch):
     # the pass count comes from the bound on the powers of |S|; a looser
     # bound (the geometric one spent 41 passes here) shows as more passes.
@@ -187,7 +203,8 @@ def test_cli_import_builds_no_panel_tables():
 
 
 # run in a fresh interpreter: every public function of numpy.linalg raises,
-# then each CLI command runs and the polynomial package must stay unloaded
+# then each CLI command runs and the polynomial package and numpy.random
+# must stay unloaded
 NO_LAPACK_RUN = """
 import sys
 import numpy.linalg
@@ -203,17 +220,19 @@ from laddernoise.cli import main
 
 for command, config, out in zip(*[iter(sys.argv[1:])] * 3):
     assert main([command, "--config", config, "--out", out]) == 0, command
-print("numpy.polynomial" in sys.modules)
+print("numpy.polynomial" in sys.modules, "numpy.random" in sys.modules)
 """
 
 
 def test_runs_load_no_polynomial_package_and_call_no_linalg(tmp_path):
     # every Gauss-Legendre rule comes from quadrature._gauss_legendre and the
     # truncation radius from its closed-form eigenvalue, so a TDSE ensemble, a
-    # Gaussian closed-form ensemble and a perturb-time scan need neither
+    # Gaussian closed-form ensemble, a perturb-time scan and a Monte Carlo
+    # optimization need neither; the offset table computes its own Philox
+    # words, so none of them loads numpy.random
     workloads = load_perfbench("workloads")
     args = []
-    for name in ("tdse_ensemble", "gauss_ensemble", "quad_scan"):
+    for name in ("tdse_ensemble", "gauss_ensemble", "quad_scan", "mc_optimize"):
         base = type(workloads.WORKLOADS[name])
         workload = type(base.__name__, (base,), SMALL_WORKLOADS[name])()
         config = tmp_path / f"{name}.json"
@@ -223,7 +242,7 @@ def test_runs_load_no_polynomial_package_and_call_no_linalg(tmp_path):
     proc = subprocess.run([sys.executable, "-c", NO_LAPACK_RUN, *args], capture_output=True,
                           text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "False False"
 
 
 def test_readme_quick_start_runs():
